@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-  python3 perfbench/run.py --workload served-hit --seed 1 --seconds 20 --trace 0
+  python3 perfbench/run.py --workload served-hit --seed 1 --seconds 45 --trace 0
   python3 perfbench/run.py                 # every workload, seed 1, untraced
 
 The first call configures and builds perfbench/ (the system's sources under
@@ -23,7 +23,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD_DIR = os.path.join(ROOT, ".bench_build")
 SPAN_DIR = os.path.join(ROOT, ".perfbench_out")
 BINARY = os.path.join(BUILD_DIR, "ditto_perfbench")
-WORKLOADS = ["served-hit", "served-churn", "replay-shift", "replay-contended"]
+WORKLOADS = ["served-hit", "replay-shift"]
 
 
 def build():
@@ -63,7 +63,7 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", default="all", choices=WORKLOADS + ["all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float, default=45)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args()
 

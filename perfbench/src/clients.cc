@@ -57,6 +57,13 @@ void ObservedClient::Observe(std::span<const sim::CacheOp> ops,
 }
 
 void TimedClient::ExecuteBatch(std::span<const sim::CacheOp> ops, sim::CacheResult* results) {
+  if (untimed_ + 1 < kEvery) {
+    untimed_++;
+    inner_->ExecuteBatch(ops, results);
+    Observe(ops, results);
+    return;
+  }
+  untimed_ = 0;
   const int64_t begin = NowNs();
   inner_->ExecuteBatch(ops, results);
   const auto ns = static_cast<uint64_t>(NowNs() - begin);
@@ -265,6 +272,14 @@ LayerCounters Snapshot(Deployment& d) {
   c.segments = d.pool->segments_allocated();
   c.cached_objects = d.pool->cached_objects();
   return c;
+}
+
+double NodeMemMb(Deployment& d) {
+  const dm::MemoryPool& pool = *d.pool;
+  const double bytes = static_cast<double>(pool.heap_addr()) +
+                       static_cast<double>(pool.segments_allocated()) *
+                           static_cast<double>(pool.config().segment_bytes);
+  return bytes / (1 << 20);
 }
 
 }  // namespace perfbench

@@ -169,8 +169,14 @@ class CountingClient final : public ObservedClient {
   }
 };
 
+// Times every kEvery-th ExecuteBatch call (wall ns, by the kind of its
+// first op). Timing every call slows a replay by 7-9%; sampling keeps the
+// cost within the host's noise, so the same pass gives both throughput and
+// latency.
 class TimedClient final : public ObservedClient {
  public:
+  static constexpr uint64_t kEvery = 8;
+
   using ObservedClient::ObservedClient;
   void ExecuteBatch(std::span<const sim::CacheOp> ops, sim::CacheResult* results) override;
   std::vector<uint64_t>& get_ns() { return get_ns_; }
@@ -179,6 +185,7 @@ class TimedClient final : public ObservedClient {
  private:
   std::vector<uint64_t> get_ns_;
   std::vector<uint64_t> set_ns_;
+  uint64_t untimed_ = 0;  // calls since the last timed one
 };
 
 class TracedClient final : public ObservedClient {
@@ -242,6 +249,11 @@ struct LayerCounters {
 
 // Reads the counters. The deployment's clients must be idle.
 LayerCounters Snapshot(Deployment& d);
+
+// Memory the cache occupies on its memory node, in MiB: the superblock and
+// hash table plus every heap segment the controller has handed out (the
+// heap's high-water mark; freed blocks are recycled inside segments).
+double NodeMemMb(Deployment& d);
 
 }  // namespace perfbench
 

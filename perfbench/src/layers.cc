@@ -1,6 +1,7 @@
 #include "layers.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "hashtable/layout.h"
@@ -40,7 +41,6 @@ void ReportLayers(const LayerRun& run, Report* report) {
   report->Set("net.conn_self_ns_per_cmd", run.conn_self_ns_per_cmd, "ns");
   report->Set("net.sys_cpu_us_per_op",
               run.served ? Per(run.system_sys_ns / 1000.0, ops) : 0.0, "us");
-  report->Set("net.cmds_per_batch", run.cmds_per_batch, "cmds");
   report->Set("net.reactor_skew", run.reactor_skew, "ratio");
   report->Set("net.shed_ops", static_cast<double>(run.shed_ops), "count");
   report->Set("net.error_replies", static_cast<double>(run.error_replies), "count");

@@ -32,7 +32,6 @@ struct LayerRun {
   // net (served workloads)
   double parse_ns_per_cmd = 0.0;
   double conn_self_ns_per_cmd = 0.0;
-  double cmds_per_batch = 0.0;
   double reactor_skew = 0.0;
   uint64_t shed_ops = 0;
   uint64_t error_replies = 0;

@@ -22,6 +22,9 @@ namespace {
 
 constexpr std::string_view kGetHead = "*2\r\n$3\r\nGET\r\n$17\r\n";
 constexpr std::string_view kSetHead = "*3\r\n$3\r\nSET\r\n$17\r\n";
+constexpr int kConns = 4;
+constexpr size_t kDepth = 32;  // closed-loop commands in flight per connection
+constexpr size_t kValueBytes = 232;
 constexpr size_t kKeyBytes = 17;     // workload::FormatKey: "k" + 16 hex digits
 constexpr size_t kValueHeader = 28;  // 16 hex key digits ':' 10 version digits ':'
 constexpr size_t kRecvChunk = 64 << 10;
@@ -38,8 +41,8 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 
 }  // namespace
 
-Generator::Generator(const workload::Trace* trace, uint64_t num_keys, const GenOptions& options)
-    : trace_(trace), num_keys_(num_keys), options_(options), versions_(num_keys, 0) {
+Generator::Generator(const workload::Trace* trace, uint64_t num_keys, uint16_t port)
+    : trace_(trace), num_keys_(num_keys), port_(port), versions_(num_keys, 0) {
   get_cmd_bytes_ = kGetHead.size() + kKeyBytes + 2;
   get_cmds_.resize(num_keys * get_cmd_bytes_);
   for (uint64_t k = 0; k < num_keys; ++k) {
@@ -50,9 +53,9 @@ Generator::Generator(const workload::Trace* trace, uint64_t num_keys, const GenO
     std::memcpy(dst + kGetHead.size(), key.data(), kKeyBytes);
     std::memcpy(dst + kGetHead.size() + kKeyBytes, "\r\n", 2);
   }
-  set_value_len_ = "\r\n$" + std::to_string(options.value_bytes) + "\r\n";
+  set_value_len_ = "\r\n$" + std::to_string(kValueBytes) + "\r\n";
   for (int i = 0; i < 26; ++i) {
-    fillers_.emplace_back(options.value_bytes - kValueHeader, static_cast<char>('a' + i));
+    fillers_.emplace_back(kValueBytes - kValueHeader, static_cast<char>('a' + i));
   }
 }
 
@@ -67,7 +70,7 @@ std::string_view Generator::KeyString(uint32_t key) const {
 }
 
 bool Generator::ValidValue(uint32_t key, std::string_view value) const {
-  if (value.size() != options_.value_bytes || value.substr(0, 16) != KeyString(key).substr(1) ||
+  if (value.size() != kValueBytes || value.substr(0, 16) != KeyString(key).substr(1) ||
       value[16] != ':' || value[27] != ':') {
     return false;
   }
@@ -83,9 +86,9 @@ bool Generator::ValidValue(uint32_t key, std::string_view value) const {
 }
 
 std::vector<int> Generator::placement() const {
-  std::vector<int> per_reactor(options_.reactors, 0);
+  std::vector<int> per_reactor(kReactors, 0);
   for (const Conn& c : conns_) {
-    if (c.reactor >= 0 && c.reactor < options_.reactors) {
+    if (c.reactor >= 0 && c.reactor < kReactors) {
       per_reactor[c.reactor]++;
     }
   }
@@ -133,8 +136,7 @@ Generator::Pending Generator::Pop(Conn* c) {
   return p;
 }
 
-void Generator::Issue(Conn* c, uint32_t key, Kind kind, int64_t t_ns, bool from_source,
-                      PhaseStats* st) {
+void Generator::Issue(Conn* c, uint32_t key, Kind kind, int64_t t_ns, PhaseStats* st) {
   if (kind == Kind::kGet) {
     const char* cmd = &get_cmds_[key * get_cmd_bytes_];
     c->out.insert(c->out.end(), cmd, cmd + get_cmd_bytes_);
@@ -158,7 +160,7 @@ void Generator::Issue(Conn* c, uint32_t key, Kind kind, int64_t t_ns, bool from_
     c->out.push_back('\r');
     c->out.push_back('\n');
   }
-  Push(c, Pending{key, t_ns, kind, from_source});
+  Push(c, Pending{key, t_ns, kind});
   st->tally.attempted++;
 }
 
@@ -229,13 +231,13 @@ bool Generator::Receive(Conn* c, int64_t now, bool record, PhaseStats* st) {
       protocol_error_ = "reply without a pending command";
       break;
     }
-    Handle(c, Pop(c), reply, now, record, st);
+    Handle(Pop(c), reply, now, record, st);
   }
   return protocol_error_.empty();
 }
 
-void Generator::Handle(Conn* c, const Pending& p, const net::RespReply& reply, int64_t now,
-                       bool record, PhaseStats* st) {
+void Generator::Handle(const Pending& p, const net::RespReply& reply, int64_t now, bool record,
+                       PhaseStats* st) {
   using Type = net::RespReply::Type;
   bool failed = false;
   if (reply.type == Type::kError) {
@@ -263,22 +265,11 @@ void Generator::Handle(Conn* c, const Pending& p, const net::RespReply& reply, i
       if (!ValidValue(p.key, reply.text)) {
         bad_values_++;
       }
-      if (p.from_source) {
-        st->gets++;
-        st->hits++;
-      }
+      st->gets++;
+      st->hits++;
     } else if (reply.type == Type::kNil) {
-      if (p.from_source) {
-        st->gets++;
-        st->misses++;
-        if (options_.set_on_miss) {
-          if (open_phase_) {
-            Issue(c, p.key, Kind::kSet, now, /*from_source=*/false, st);
-          } else {
-            c->deferred.push_back(p.key);  // leads the connection's next batch
-          }
-        }
-      }
+      st->gets++;
+      st->misses++;
     } else if (!failed) {
       protocol_error_ = "unexpected GET reply";
     }
@@ -293,15 +284,11 @@ void Generator::Handle(Conn* c, const Pending& p, const net::RespReply& reply, i
       st->set.Add(latency, static_cast<uint32_t>((p.t_ns - phase_start_) / kWindowNs));
     }
   }
-  if (p.from_source) {
-    st->trace_ops++;
-  }
+  st->trace_ops++;
 }
 
-PhaseStats Generator::Run(Source source, bool open, double seconds, double rate,
-                          uint64_t max_ops) {
+PhaseStats Generator::Run(Source source, bool open, double seconds, double rate) {
   PhaseStats st;
-  open_phase_ = open;
   const int64_t start = NowNs();
   phase_start_ = start;
   const int64_t end = start + static_cast<int64_t>(seconds * 1e9);
@@ -320,7 +307,7 @@ PhaseStats Generator::Run(Source source, bool open, double seconds, double rate,
     const int64_t turn = NowNs();
     int64_t now = turn;
     const auto sourcing = [&] {
-      return !exhausted && now < end && (max_ops == 0 || issued < max_ops);
+      return !exhausted && now < end;
     };
     const uint64_t attempted_before = st.tally.attempted;
     uint32_t key = 0;
@@ -331,7 +318,7 @@ PhaseStats Generator::Run(Source source, bool open, double seconds, double rate,
           exhausted = true;
           break;
         }
-        Issue(&conns_[issued % conns_.size()], key, kind, next_due, true, &st);
+        Issue(&conns_[issued % conns_.size()], key, kind, next_due, &st);
         st.late.Add(static_cast<uint64_t>(now - next_due),
                     static_cast<uint32_t>((next_due - start) / kWindowNs));
         ++issued;
@@ -339,21 +326,17 @@ PhaseStats Generator::Run(Source source, bool open, double seconds, double rate,
       }
     } else {
       // Lockstep batches: a connection whose batch is fully answered sends
-      // the next `depth` commands in one write.
+      // the next kDepth commands in one write.
       for (Conn& c : conns_) {
         if (c.size > 0) {
           continue;
         }
-        for (uint32_t deferred : c.deferred) {
-          Issue(&c, deferred, Kind::kSet, now, false, &st);
-        }
-        c.deferred.clear();
-        while (sourcing() && c.size < static_cast<size_t>(options_.depth)) {
+        while (sourcing() && c.size < kDepth) {
           if (!NextOp(source, &key, &kind)) {
             exhausted = true;
             break;
           }
-          Issue(&c, key, kind, now, true, &st);
+          Issue(&c, key, kind, now, &st);
           ++issued;
         }
       }
@@ -395,7 +378,7 @@ PhaseStats Generator::Run(Source source, bool open, double seconds, double rate,
     now = NowNs();
     for (size_t i = 0; ready > 0 && i < conns_.size(); ++i) {
       if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) != 0 &&
-          !Receive(&conns_[i], now, open, &st)) {
+          !Receive(&conns_[i], now, /*record=*/true, &st)) {
         break;
       }
     }
@@ -409,24 +392,24 @@ PhaseStats Generator::Run(Source source, bool open, double seconds, double rate,
   return st;
 }
 
-PhaseStats Generator::ClosedLoop(Source source, double seconds, uint64_t max_ops) {
-  return Run(source, /*open=*/false, seconds, 0.0, max_ops);
+PhaseStats Generator::ClosedLoop(Source source, double seconds) {
+  return Run(source, /*open=*/false, seconds, 0.0);
 }
 
 PhaseStats Generator::OpenLoop(Source source, double seconds, double rate) {
-  return Run(source, /*open=*/true, seconds, rate, 0);
+  return Run(source, /*open=*/true, seconds, rate);
 }
 
 bool Generator::Connect(const std::function<std::vector<uint64_t>()>& reactor_calls,
                         std::string* error) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
+  addr.sin_port = htons(port_);
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  const int per_reactor = options_.conns / options_.reactors;
-  std::vector<int> owned(options_.reactors, 0);
+  const int per_reactor = kConns / kReactors;
+  std::vector<int> owned(kReactors, 0);
   std::vector<int> spares;
-  for (int attempt = 0; attempt < 64 && static_cast<int>(conns_.size()) < options_.conns;
+  for (int attempt = 0; attempt < 64 && static_cast<int>(conns_.size()) < kConns;
        ++attempt) {
     Conn c;
     c.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -445,7 +428,7 @@ bool Generator::Connect(const std::function<std::vector<uint64_t>()>& reactor_ca
     // connection.
     const std::vector<uint64_t> before = reactor_calls();
     PhaseStats probe;
-    Issue(&c, static_cast<uint32_t>(attempt % num_keys_), Kind::kGet, NowNs(), false, &probe);
+    Issue(&c, static_cast<uint32_t>(attempt % num_keys_), Kind::kGet, NowNs(), &probe);
     const int64_t deadline = NowNs() + kDrainNs;
     while (c.size > 0 && protocol_error_.empty() && NowNs() < deadline) {
       Flush(&c, SIZE_MAX);
@@ -479,9 +462,9 @@ bool Generator::Connect(const std::function<std::vector<uint64_t>()>& reactor_ca
   for (int fd : spares) {
     ::close(fd);
   }
-  if (static_cast<int>(conns_.size()) < options_.conns) {
+  if (static_cast<int>(conns_.size()) < kConns) {
     if (error->empty()) {
-      *error = "could not place " + std::to_string(options_.conns) +
+      *error = "could not place " + std::to_string(kConns) +
                " connections evenly over the reactors";
     }
     return false;

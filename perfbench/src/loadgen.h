@@ -10,8 +10,9 @@
 // Two loop shapes, both on one thread spinning over every connection (a
 // sleeping generator on a virtual machine adds wake-up delays of up to
 // milliseconds to the schedule):
-//   closed loop  each connection sends `depth` commands in one write and
-//                sends the next batch once all of them are answered;
+//   closed loop  each connection sends 32 commands in one write and
+//                sends the next batch once all of them are answered; a
+//                command is timed from its batch's send;
 //   open loop    op i is due at start + i / rate regardless of replies and
 //                is timed from when it was due, so a stall is charged to
 //                every op it delays.
@@ -33,14 +34,9 @@ namespace perfbench {
 
 namespace workload = ditto::workload;
 
-struct GenOptions {
-  uint16_t port = 0;
-  int conns = 4;
-  int reactors = 2;
-  int depth = 32;            // closed-loop commands in flight per connection
-  bool set_on_miss = false;  // a trace GET that misses is followed by a SET
-  size_t value_bytes = 232;
-};
+// Reactors of the server the generator drives; Connect places the
+// generator's connections evenly over them.
+inline constexpr int kReactors = 2;
 
 // Where a phase's ops come from.
 enum class Source {
@@ -64,8 +60,8 @@ struct PhaseStats {
   uint64_t gets = 0;       // ... of which GETs, and their outcomes
   uint64_t hits = 0;
   uint64_t misses = 0;
-  LatencySamples get;             // open loop: GET latency from due time
-  LatencySamples set;             // open loop: SET latency from due time
+  LatencySamples get;             // GET latency from due time or batch send
+  LatencySamples set;             // SET latency from due time or batch send
   LatencySamples late;            // open loop: send time minus due time
   OpTally tally;                  // every cache command of the phase
   double wall_s = 0.0;
@@ -74,19 +70,18 @@ struct PhaseStats {
 
 class Generator {
  public:
-  Generator(const workload::Trace* trace, uint64_t num_keys, const GenOptions& options);
+  Generator(const workload::Trace* trace, uint64_t num_keys, uint16_t port);
   ~Generator();
   Generator(const Generator&) = delete;
   Generator& operator=(const Generator&) = delete;
 
-  // Connects until every reactor owns conns / reactors connections. A GET
+  // Connects until every reactor owns an equal share of the connections. A GET
   // probe on each new connection shows which reactor serves it:
   // `reactor_calls` returns each reactor's cache-call count.
   bool Connect(const std::function<std::vector<uint64_t>()>& reactor_calls, std::string* error);
 
-  // Closed loop for `seconds` or until `max_ops` source ops (0 = no limit);
-  // a kPreload source ends by itself.
-  PhaseStats ClosedLoop(Source source, double seconds, uint64_t max_ops = 0);
+  // Closed loop for `seconds`; a kPreload source ends by itself.
+  PhaseStats ClosedLoop(Source source, double seconds);
   // Open loop at `rate` ops/s for `seconds`.
   PhaseStats OpenLoop(Source source, double seconds, double rate);
 
@@ -112,7 +107,6 @@ class Generator {
     uint32_t key = 0;
     int64_t t_ns = 0;  // due time (open loop) or issue time
     Kind kind = Kind::kGet;
-    bool from_source = false;
   };
   struct Conn {
     int fd = -1;
@@ -123,31 +117,29 @@ class Generator {
     std::vector<Pending> fifo;  // ring of in-flight commands
     size_t head = 0;
     size_t size = 0;
-    std::vector<uint32_t> deferred;  // set-on-miss keys for the next batch
   };
 
-  PhaseStats Run(Source source, bool open, double seconds, double rate, uint64_t max_ops);
+  PhaseStats Run(Source source, bool open, double seconds, double rate);
   bool NextOp(Source source, uint32_t* key, Kind* kind);
-  void Issue(Conn* c, uint32_t key, Kind kind, int64_t t_ns, bool from_source, PhaseStats* st);
+  void Issue(Conn* c, uint32_t key, Kind kind, int64_t t_ns, PhaseStats* st);
   void Push(Conn* c, const Pending& p);
   Pending Pop(Conn* c);
   bool Flush(Conn* c, size_t index);
   bool Receive(Conn* c, int64_t now, bool record, PhaseStats* st);
-  void Handle(Conn* c, const Pending& p, const ditto::net::RespReply& reply, int64_t now,
-              bool record, PhaseStats* st);
+  void Handle(const Pending& p, const ditto::net::RespReply& reply, int64_t now, bool record,
+              PhaseStats* st);
   bool ValidValue(uint32_t key, std::string_view value) const;
   std::string_view KeyString(uint32_t key) const;
 
   const workload::Trace* trace_;
   uint64_t num_keys_;
-  GenOptions options_;
+  uint16_t port_;
   std::vector<char> get_cmds_;  // pre-rendered GET command per key
   size_t get_cmd_bytes_ = 0;
   std::string set_value_len_;   // "\r\n$<value_bytes>\r\n"
   std::vector<std::string> fillers_;
   std::vector<uint32_t> versions_;  // last version sent per key
   std::vector<Conn> conns_;
-  bool open_phase_ = false;
   int64_t phase_start_ = 0;
   size_t cursor_ = 0;           // next trace index
   uint64_t preload_next_ = 0;

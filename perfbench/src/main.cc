@@ -2,10 +2,8 @@
 // per line with units, then the one-line JSON result.
 //
 //   ditto_perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//   ditto_perfbench --selftest
 //
-// Workloads: served-hit, served-churn, replay-shift, replay-contended (see
-// served.cc and replay.cc). --trace 0 reports the end-to-end metrics;
+// Workloads: served-hit (see served.cc) and replay-shift (see replay.cc). --trace 0 reports the end-to-end metrics;
 // --trace 1 runs the traced pass and reports the per-layer metrics. The
 // metric arithmetic self-test runs first on every invocation; the process
 // exits 1 if it or any output check fails.
@@ -52,9 +50,8 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: ditto_perfbench --workload <served-hit|served-churn|replay-shift|"
-               "replay-contended> --seed <n> --seconds <s> --trace <0|1>\n"
-               "       ditto_perfbench --selftest\n");
+               "usage: ditto_perfbench --workload <served-hit|replay-shift> --seed <n> "
+               "--seconds <s> --trace <0|1>\n");
   return 2;
 }
 
@@ -62,13 +59,8 @@ int Usage() {
 
 int main(int argc, char** argv) {
   perfbench::RunArgs args;
-  bool selftest_only = false;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--selftest") {
-      selftest_only = true;
-      continue;
-    }
     if (i + 1 >= argc) {
       return Usage();
     }
@@ -93,17 +85,12 @@ int main(int argc, char** argv) {
   if (!perfbench::SelfTest(&why)) {
     report.Fail("metric self-test: " + why);
   }
-  if (selftest_only) {
-    std::printf("self-test %s%s\n", report.correct() ? "passed" : "FAILED: ",
-                report.correct() ? "" : why.c_str());
-    return report.correct() ? 0 : 1;
-  }
   if (args.seconds <= 0.0) {
     return Usage();
   }
-  if (args.workload == "served-hit" || args.workload == "served-churn") {
+  if (args.workload == "served-hit") {
     perfbench::RunServed(args, &report);
-  } else if (args.workload == "replay-shift" || args.workload == "replay-contended") {
+  } else if (args.workload == "replay-shift") {
     perfbench::RunReplay(args, &report);
   } else {
     return Usage();

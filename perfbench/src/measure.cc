@@ -1,6 +1,5 @@
 #include "measure.h"
 
-#include <dlfcn.h>
 #include <sys/resource.h>
 #include <sys/syscall.h>
 #include <time.h>
@@ -173,9 +172,6 @@ int64_t ClockNs(clockid_t clock) {
   return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
-std::atomic<bool> g_count_reads{false};
-std::atomic<uint64_t> g_reads{0};
-
 }  // namespace
 
 int64_t ThreadCpuNs(pthread_t thread) {
@@ -193,12 +189,6 @@ int64_t ProcessSysNs() {
   ::getrusage(RUSAGE_SELF, &usage);
   return static_cast<int64_t>(usage.ru_stime.tv_sec) * 1000000000 +
          static_cast<int64_t>(usage.ru_stime.tv_usec) * 1000;
-}
-
-double PeakRssMb() {
-  rusage usage{};
-  ::getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
 }
 
 bool TaskCpuTicks(pid_t tid, uint64_t* user_ticks, uint64_t* sys_ticks) {
@@ -228,8 +218,37 @@ bool TaskCpuTicks(pid_t tid, uint64_t* user_ticks, uint64_t* sys_ticks) {
 
 double TicksPerSecond() { return static_cast<double>(::sysconf(_SC_CLK_TCK)); }
 
-void SetReadCounting(bool on) { g_count_reads.store(on, std::memory_order_relaxed); }
-uint64_t SuccessfulReads() { return g_reads.load(std::memory_order_relaxed); }
+CpuRotation::CpuRotation() {
+  if (::sched_getaffinity(0, sizeof(allowed_), &allowed_) != 0) {
+    return;
+  }
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed_)) {
+      cpus_.push_back(cpu);
+    }
+  }
+}
+
+CpuRotation::~CpuRotation() {
+  for (pid_t tid : pinned_) {
+    ::sched_setaffinity(tid, sizeof(allowed_), &allowed_);  // fails if it has exited
+  }
+}
+
+void CpuRotation::Pin(size_t turn, const std::vector<pid_t>& tids) {
+  if (cpus_.empty()) {
+    return;
+  }
+  for (size_t k = 0; k < tids.size(); ++k) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus_[(turn + k) % cpus_.size()], &one);
+    if (::sched_setaffinity(tids[k], sizeof(one), &one) == 0 &&
+        std::find(pinned_.begin(), pinned_.end(), tids[k]) == pinned_.end()) {
+      pinned_.push_back(tids[k]);
+    }
+  }
+}
 
 bool SelfTest(std::string* why) {
   auto fail = [why](const std::string& what) {
@@ -296,15 +315,3 @@ bool SelfTest(std::string* why) {
 
 }  // namespace perfbench
 
-// Counting shim over read(2): the reactors' ::read calls resolve here, so the
-// benchmark can count served batches without touching the server. Forwards
-// to the next definition of read (libc's, or a sanitizer's interceptor).
-extern "C" ssize_t read(int fd, void* buf, size_t count) {
-  using ReadFn = ssize_t (*)(int, void*, size_t);
-  static const auto next = reinterpret_cast<ReadFn>(::dlsym(RTLD_NEXT, "read"));
-  const ssize_t n = next(fd, buf, count);
-  if (n > 0 && perfbench::g_count_reads.load(std::memory_order_relaxed)) {
-    perfbench::g_reads.fetch_add(1, std::memory_order_relaxed);
-  }
-  return n;
-}

@@ -1,14 +1,14 @@
 // Metric arithmetic and host probes shared by every perfbench workload:
 // nearest-rank percentiles, span self time, failure accounting, the result
-// line, and thread/process CPU and memory readings.
+// line, and thread/process CPU readings.
 #ifndef PERFBENCH_MEASURE_H_
 #define PERFBENCH_MEASURE_H_
 
 #include <pthread.h>
+#include <sched.h>
 #include <sys/types.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -153,18 +153,33 @@ pid_t CurrentTid();
 int64_t ThreadCpuNs(pthread_t thread);
 int64_t ProcessCpuNs();
 int64_t ProcessSysNs();  // kernel part of ProcessCpuNs (getrusage resolution)
-double PeakRssMb();
 
 // User and kernel CPU of one thread of this process, in clock ticks, from
 // /proc/self/task/<tid>/stat. Returns false if unreadable.
 bool TaskCpuTicks(pid_t tid, uint64_t* user_ticks, uint64_t* sys_ticks);
 double TicksPerSecond();
 
-// Successful read(2) calls made anywhere in the process while counting is
-// on. The server's reactors read each readable connection once per
-// Connection::ProcessInput batch, so this counts served batches.
-void SetReadCounting(bool on);
-uint64_t SuccessfulReads();
+// Pins a set of busy threads of this process to distinct allowed CPUs and
+// moves the assignment one CPU along on every turn; restores each pinned
+// thread's original CPU mask when destroyed. On a shared virtual machine one
+// CPU can run the same code up to ~40% slower than another at the same
+// moment, and the scheduler may put two busy threads on one CPU; rotating a
+// fixed placement spreads both over a run's samples evenly.
+class CpuRotation {
+ public:
+  CpuRotation();
+  ~CpuRotation();
+  CpuRotation(const CpuRotation&) = delete;
+  CpuRotation& operator=(const CpuRotation&) = delete;
+
+  // Thread tids[k] runs on allowed CPU (turn + k) mod (number allowed).
+  void Pin(size_t turn, const std::vector<pid_t>& tids);
+
+ private:
+  cpu_set_t allowed_{};
+  std::vector<int> cpus_;
+  std::vector<pid_t> pinned_;
+};
 
 // Runs the arithmetic above on hand-built inputs; false (with *why) on the
 // first mismatch.

@@ -1,15 +1,9 @@
-// replay-shift and replay-contended: the in-process replay engines, with no
-// net layer.
-//
-//   replay-shift      sim::RunTrace, 4 clients interleaved on one host
-//                     thread over one pool; MakeChangingWorkload (4 equal
-//                     phases alternating LFU- and LRU-friendly), footprint
-//                     100,000 keys, capacity 25,000, experts {lru, lfu},
-//                     500 us miss penalty. Bit-deterministic: every
-//                     repetition must reproduce the first exactly.
-//   replay-contended  sim::RunTraceContended, 4 client threads sharing one
-//                     pool; YCSB-A over 400,000 keys (zipf 0.99), capacity
-//                     100,000, set-on-miss, validate_inserts.
+// replay-shift: the in-process replay engine, with no net layer.
+// sim::RunTrace, 4 clients interleaved on one host thread over one pool;
+// MakeChangingWorkload (4 equal phases alternating LFU- and LRU-friendly),
+// footprint 100,000 keys, capacity 25,000, experts {lru, lfu}, 500 us miss
+// penalty, set-on-miss. Bit-deterministic: every repetition must reproduce
+// the first exactly.
 //
 // Each measured repetition replays the whole trace on a fresh deployment;
 // a run repeats until --seconds is used and reports medians.
@@ -20,7 +14,6 @@
 #include "sim/runner.h"
 #include "workloads.h"
 #include "workloads/synthetic_traces.h"
-#include "workloads/ycsb.h"
 
 namespace perfbench {
 
@@ -28,36 +21,15 @@ namespace workload = ditto::workload;
 
 namespace {
 
-struct ReplaySpec {
-  bool contended = false;
-  uint64_t capacity = 0;
-  int clients = 4;
+constexpr int kClients = 4;
+constexpr uint64_t kCapacity = 25000;
+
+sim::RunOptions ReplayOptions() {
   sim::RunOptions options;
-};
-
-ReplaySpec SpecFor(const std::string& name) {
-  ReplaySpec spec;
-  spec.options.value_bytes = 232;
-  spec.options.set_on_miss = true;
-  if (name == "replay-shift") {
-    spec.capacity = 25000;
-    spec.options.miss_penalty_us = 500.0;
-  } else {
-    spec.contended = true;
-    spec.capacity = 100000;
-  }
-  return spec;
-}
-
-workload::Trace MakeTrace(const std::string& name, uint64_t seed) {
-  if (name == "replay-shift") {
-    return workload::MakeChangingWorkload(4, 200000, 100000, seed);
-  }
-  workload::YcsbConfig ycsb;
-  ycsb.workload = 'A';
-  ycsb.num_keys = 400000;
-  ycsb.zipf_theta = 0.99;
-  return workload::MakeYcsbTrace(ycsb, 1000000, seed);
+  options.value_bytes = 232;
+  options.set_on_miss = true;
+  options.miss_penalty_us = 500.0;
+  return options;
 }
 
 // Everything the determinism check compares, bit for bit.
@@ -80,33 +52,33 @@ struct Rep {
   uint64_t virt_p50_ns = 0;
   uint64_t virt_p99_ns = 0;
   double virt_mean_ns = 0.0;
+  double node_mem_mb = 0.0;
   Fingerprint print;
 };
 
-Rep RunOnce(const ReplaySpec& spec, const workload::Trace& trace, Wrap wrap, Report* report) {
+Rep RunOnce(const workload::Trace& trace, Wrap wrap, Report* report) {
   Rep rep;
   DeployOptions deploy;
-  deploy.capacity = spec.capacity;
-  deploy.clients = spec.clients;
-  deploy.validate_inserts = spec.contended;
+  deploy.capacity = kCapacity;
+  deploy.clients = kClients;
   deploy.wrap = wrap;
   rep.d = Deploy(deploy);
   Deployment& d = *rep.d;
   if (wrap == Wrap::kTime) {
     for (auto& c : d.clients) {
-      static_cast<TimedClient*>(c.get())->get_ns().reserve(trace.size() / spec.clients + 1);
-      static_cast<TimedClient*>(c.get())->set_ns().reserve(trace.size() / spec.clients + 1);
+      const size_t samples = trace.size() / kClients / TimedClient::kEvery + 1;
+      static_cast<TimedClient*>(c.get())->get_ns().reserve(samples);
+      static_cast<TimedClient*>(c.get())->set_ns().reserve(samples);
     }
   }
   const LayerCounters before = Snapshot(d);
   const int64_t cpu_before = ProcessCpuNs();
   const int64_t sys_before = ProcessSysNs();
-  rep.result = spec.contended
-                   ? sim::RunTraceContended(d.raw, trace, {d.node()}, spec.options)
-                   : sim::RunTrace(d.raw, trace, d.node(), spec.options);
+  rep.result = sim::RunTrace(d.raw, trace, d.node(), ReplayOptions());
   rep.cpu_ns = ProcessCpuNs() - cpu_before;
   rep.sys_ns = ProcessSysNs() - sys_before;
   rep.delta = Snapshot(d) - before;
+  rep.node_mem_mb = NodeMemMb(d);
 
   VirtualHistogram virt;
   for (auto& c : d.clients) {
@@ -123,9 +95,9 @@ Rep RunOnce(const ReplaySpec& spec, const workload::Trace& trace, Wrap wrap, Rep
   if (r.ops != trace.size()) {
     report->Fail("replay: replayed ops != trace length");
   }
-  if (d.pool->cached_objects() > spec.capacity) {
+  if (d.pool->cached_objects() > kCapacity) {
     report->Fail("replay: cached objects " + std::to_string(d.pool->cached_objects()) +
-                 " exceed capacity " + std::to_string(spec.capacity));
+                 " exceed capacity " + std::to_string(kCapacity));
   }
   uint64_t failed = 0;
   uint64_t observed = 0;
@@ -162,7 +134,8 @@ struct Latency {
   Quantiles set;
 };
 
-// Wall latency of every Get and Set call of a timed pass, over all clients.
+// Wall latency of the sampled Get and Set calls of a timed pass, over all
+// clients.
 Latency LatencyOf(const Rep& rep) {
   std::vector<uint64_t> get_ns;
   std::vector<uint64_t> set_ns;
@@ -183,21 +156,17 @@ void CheckSame(const Rep& a, const Rep& b, const char* what, Report* report) {
 }  // namespace
 
 void RunReplay(const RunArgs& args, Report* report) {
-  const ReplaySpec spec = SpecFor(args.workload);
-  const bool deterministic = !spec.contended;
-
   // Set-up: trace generation plus deployment construction.
   std::vector<double> setup_s;
   std::vector<double> gen_s;
   workload::Trace trace;
   for (int i = 0; i < kSetupReps; ++i) {
     const int64_t begin = NowNs();
-    trace = MakeTrace(args.workload, args.seed);
+    trace = workload::MakeChangingWorkload(4, 200000, 100000, args.seed);
     const int64_t generated = NowNs();
     DeployOptions deploy;
-    deploy.capacity = spec.capacity;
-    deploy.clients = spec.clients;
-    deploy.validate_inserts = spec.contended;
+    deploy.capacity = kCapacity;
+    deploy.clients = kClients;
     std::unique_ptr<Deployment> d = Deploy(deploy);
     const int64_t end = NowNs();
     gen_s.push_back(static_cast<double>(generated - begin) / 1e9);
@@ -213,19 +182,17 @@ void RunReplay(const RunArgs& args, Report* report) {
     std::vector<double> plain_s;
     std::vector<double> traced_s;
     for (int pair = 0; pair < 3; ++pair) {
-      Rep plain = RunOnce(spec, trace, Wrap::kCount, report);
-      traced = RunOnce(spec, trace, Wrap::kTrace, report);
+      Rep plain = RunOnce(trace, Wrap::kCount, report);
+      traced = RunOnce(trace, Wrap::kTrace, report);
       plain_s.push_back(plain.result.wall_s);
       traced_s.push_back(traced.result.wall_s);
       if (pair == 0) {
         first = std::move(plain);
         first.d.reset();
-      } else if (deterministic) {
+      } else {
         CheckSame(first, plain, "untraced passes differ", report);
       }
-      if (deterministic) {
-        CheckSame(first, traced, "traced pass differs from untraced pass", report);
-      }
+      CheckSame(first, traced, "traced pass differs from untraced pass", report);
     }
     LayerRun run;
     std::vector<const SpanRecorder*> recorders;
@@ -241,8 +208,8 @@ void RunReplay(const RunArgs& args, Report* report) {
     run.ops = traced.result.ops;
     run.wall_s = traced.result.wall_s;
     run.threads = traced.result.threads;
-    run.clients = spec.clients;
-    run.capacity = spec.capacity;
+    run.clients = kClients;
+    run.capacity = kCapacity;
     run.table_slots = traced.d->pool->num_slots();
     run.engine = true;
     run.virt_p50_us = static_cast<double>(traced.virt_p50_ns) / 1000.0;
@@ -253,7 +220,7 @@ void RunReplay(const RunArgs& args, Report* report) {
     run.verb_ns_4t = VerbNs(4, 0.1);
     run.gen_s = Median(gen_s);
     run.trace_overhead = Median(traced_s) / Median(plain_s) - 1.0;
-    const Latency latency = LatencyOf(RunOnce(spec, trace, Wrap::kTime, report));
+    const Latency latency = LatencyOf(RunOnce(trace, Wrap::kTime, report));
     run.get_p99_us = latency.get.p99;
     run.set_p99_us = latency.set.p99;
     run.failed_frac = report->attempted == 0 ? 0.0
@@ -264,44 +231,45 @@ void RunReplay(const RunArgs& args, Report* report) {
     return;
   }
 
-  // Measured repetitions alternate with wall-timed latency passes until the
-  // run's time is used (at least three of each).
+  // Measured repetitions until the run's time is used (at least three).
+  // Each replays through the sampling wall-timer, so it gives throughput and
+  // latency at once. The single-threaded replay runs each repetition on the
+  // next CPU in turn.
   const int64_t deadline = NowNs() + static_cast<int64_t>(args.seconds * 1e9);
   std::vector<Rep> reps;
   std::vector<Latency> latency;
   int64_t longest = 0;
-  while (latency.size() < 3 || NowNs() + longest < deadline) {
-    const int64_t begin = NowNs();
-    const bool timed = latency.size() < reps.size();
-    Rep rep = RunOnce(spec, trace, timed ? Wrap::kTime : Wrap::kCount, report);
-    if (deterministic && !reps.empty()) {
-      CheckSame(reps[0], rep, timed ? "timed pass differs" : "repetitions differ", report);
-    }
-    if (timed) {
+  {
+    CpuRotation cpus;
+    const std::vector<pid_t> self = {CurrentTid()};
+    while (reps.size() < 3 || NowNs() + longest < deadline) {
+      const int64_t begin = NowNs();
+      cpus.Pin(reps.size(), self);
+      Rep rep = RunOnce(trace, Wrap::kTime, report);
+      if (!reps.empty()) {
+        CheckSame(reps[0], rep, "repetitions differ", report);
+      }
       latency.push_back(LatencyOf(rep));
-    } else {
       reps.push_back(std::move(rep));
       reps.back().d.reset();  // keep one deployment alive at a time
+      longest = std::max(longest, NowNs() - begin);
     }
-    longest = std::max(longest, NowNs() - begin);
   }
 
-  std::vector<double> sat, cpu, hit, virt_mops, virt_mean;
-  for (const Rep& rep : reps) {
+  std::vector<double> sat, cpu, hit, virt_mops, virt_mean, node_mem, get_p50, set_p50;
+  for (size_t i = 0; i < reps.size(); ++i) {
+    const Rep& rep = reps[i];
     sat.push_back(ops / rep.result.wall_s / 1000.0);
     cpu.push_back(static_cast<double>(rep.cpu_ns) / 1000.0 / ops);
     hit.push_back(rep.result.hit_rate);
     virt_mops.push_back(rep.result.throughput_mops);
     virt_mean.push_back(rep.virt_mean_ns / 1000.0);
+    node_mem.push_back(rep.node_mem_mb);
+    get_p50.push_back(latency[i].get.p50);
+    set_p50.push_back(latency[i].set.p50);
   }
-  std::vector<double> get_p50, set_p50;
-  for (const Latency& l : latency) {
-    get_p50.push_back(l.get.p50);
-    set_p50.push_back(l.set.p50);
-  }
-  std::fprintf(stderr,
-               "# %s: %zu repetitions of %zu ops; %zu latency passes of %llu gets, %llu sets\n",
-               args.workload.c_str(), reps.size(), trace.size(), latency.size(),
+  std::fprintf(stderr, "# %s: %zu repetitions of %zu ops, each timing %llu gets and %llu sets\n",
+               args.workload.c_str(), reps.size(), trace.size(),
                static_cast<unsigned long long>(latency[0].get.count),
                static_cast<unsigned long long>(latency[0].set.count));
 
@@ -313,7 +281,7 @@ void RunReplay(const RunArgs& args, Report* report) {
   report->Set("virt_mops", Median(virt_mops), "Mop/s");
   report->Set("virt_mean_us", Median(virt_mean), "us");
   report->Set("cpu_us_per_op", Median(cpu), "us");
-  report->Set("peak_rss_mb", PeakRssMb(), "MB");
+  report->Set("node_mem_mb", Median(node_mem), "MiB");
 }
 
 }  // namespace perfbench

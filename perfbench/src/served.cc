@@ -1,19 +1,21 @@
-// served-hit and served-churn: the benchmark's single-thread generator
-// against an in-process net::Server with 2 reactors sharing one pool, over
-// 4 loopback connections placed 2 per reactor.
+// served-hit: the benchmark's single-thread generator against an in-process
+// net::Server with 2 reactors sharing one pool, over 4 loopback connections
+// placed 2 per reactor. YCSB-C (100% GET), 100,000 keys, zipf 0.99, 232-B
+// values; capacity 131,072 objects, every key preloaded, so every GET hits
+// and eviction/allocation stay idle. SET windows over the same keys (updates
+// in place) give set_p50_us.
 //
-//   served-hit    YCSB-C (100% GET), 100,000 keys, zipf 0.99, 232-B values;
-//                 capacity 131,072 objects, every key preloaded, so every
-//                 GET hits and eviction/allocation stay idle. A short
-//                 open-loop SET phase over the same keys gives set_*.
-//   served-churn  YCSB-A (50% GET / 50% SET), 400,000 keys, zipf 0.99;
-//                 capacity 100,000, set-on-miss, validate_inserts on,
-//                 warmed up with 200,000 trace ops.
-//
-// A run is kRounds rounds of a closed-loop window (lockstep batches of 32
-// commands per connection), which gives sat_kops, cpu_us_per_op, hit_rate and
-// the virt_* metrics, then open-loop windows at kOpenRate, which give the
-// wire latencies.
+// A run is a series of short rounds, each a closed-loop GET window and a
+// closed-loop SET window (lockstep batches of 32 commands per connection),
+// until --seconds is used; every end-to-end metric is the median of the
+// rounds' values, so a slow spell of the host sets only a few of many
+// samples. The latencies are each command's time from its batch's send to
+// its reply: an open loop at a rate one generator thread can offer leaves
+// the reactors idle between ops, so its p50 is mostly the time to wake an
+// idle reactor, which on a shared virtual machine jumps between host regimes
+// (about 20 and 27 us; interquartile range 0.38 of the median over 10
+// seeds). The traced run keeps an open-loop phase at kOpenRate for the
+// per-layer p99s and the generator's lateness.
 #include <cstdio>
 
 #include "layers.h"
@@ -29,40 +31,18 @@ namespace net = ditto::net;
 
 namespace {
 
-struct ServedSpec {
-  char ycsb = 'C';
-  uint64_t keys = 0;
-  uint64_t capacity = 0;
-  bool set_on_miss = false;
-  bool preload = false;
-  uint64_t warmup_ops = 0;
-};
-
-ServedSpec SpecFor(const std::string& name) {
-  ServedSpec spec;
-  if (name == "served-hit") {
-    spec.ycsb = 'C';
-    spec.keys = 100000;
-    spec.capacity = 131072;
-    spec.preload = true;
-  } else {
-    spec.ycsb = 'A';
-    spec.keys = 400000;
-    spec.capacity = 100000;
-    spec.set_on_miss = true;
-    spec.warmup_ops = 200000;
-  }
-  return spec;
-}
-
+constexpr uint64_t kKeys = 100000;
+constexpr uint64_t kCapacity = 131072;
 constexpr uint64_t kTraceOps = 2000000;  // cycled by the generator
 // Open-loop offered rate (op/s). Well below sat_kops: in the open loop every
 // op is its own loopback write, and the single generator thread, which pays
 // the kernel's receive path for each write it sends, saturates near twice
 // this rate.
 constexpr double kOpenRate = 100000;
-constexpr int kReactors = 2;
-constexpr int kRounds = 10;
+// One measured round: a GET window over the trace, then a SET window over
+// its keys.
+constexpr double kGetWindowS = 0.25;
+constexpr double kSetWindowS = 0.05;
 
 // Deployment, server and connected generator; torn down in reverse order
 // (connections close, reactors join, then the cache goes away).
@@ -89,11 +69,10 @@ struct Rig {
   }
 };
 
-std::unique_ptr<Rig> SetUp(const ServedSpec& spec, const workload::Trace& trace, Wrap wrap,
-                           std::string* error) {
+std::unique_ptr<Rig> SetUp(const workload::Trace& trace, Wrap wrap, std::string* error) {
   auto rig = std::make_unique<Rig>();
   DeployOptions deploy;
-  deploy.capacity = spec.capacity;
+  deploy.capacity = kCapacity;
   deploy.clients = kReactors;
   deploy.validate_inserts = true;  // reactors share one pool
   deploy.wrap = wrap;
@@ -103,20 +82,11 @@ std::unique_ptr<Rig> SetUp(const ServedSpec& spec, const workload::Trace& trace,
   if (!rig->server->Start(error)) {
     return nullptr;
   }
-  GenOptions options;
-  options.port = rig->server->port();
-  options.reactors = kReactors;
-  options.set_on_miss = spec.set_on_miss;
-  rig->gen = std::make_unique<Generator>(&trace, spec.keys, options);
+  rig->gen = std::make_unique<Generator>(&trace, kKeys, rig->server->port());
   if (!rig->gen->Connect([&r = *rig] { return r.ReactorCalls(); }, error)) {
     return nullptr;
   }
-  if (spec.preload) {
-    rig->gen->ClosedLoop(Source::kPreload, 60.0);
-  }
-  if (spec.warmup_ops > 0) {
-    rig->gen->ClosedLoop(Source::kTrace, 60.0, spec.warmup_ops);
-  }
+  rig->gen->ClosedLoop(Source::kPreload, 60.0);
   if (!rig->gen->protocol_error().empty()) {
     *error = rig->gen->protocol_error();
     return nullptr;
@@ -255,10 +225,10 @@ void ReplayNet(const std::vector<char>& bytes, const std::vector<uint32_t>& send
                            : static_cast<double>(self) / static_cast<double>(host.commands());
 }
 
-workload::Trace MakeTrace(const ServedSpec& spec, uint64_t seed) {
+workload::Trace MakeTrace(uint64_t seed) {
   workload::YcsbConfig ycsb;
-  ycsb.workload = spec.ycsb;
-  ycsb.num_keys = spec.keys;
+  ycsb.workload = 'C';
+  ycsb.num_keys = kKeys;
   ycsb.zipf_theta = 0.99;
   return workload::MakeYcsbTrace(ycsb, kTraceOps, seed);
 }
@@ -272,7 +242,6 @@ struct ClosedPhase {
   std::vector<int64_t> reactor_cpu_ns;
   std::vector<uint64_t> reactor_sys_ticks;
   std::vector<uint64_t> reactor_ops;
-  uint64_t reads = 0;
 };
 
 ClosedPhase RunClosed(Rig& rig, double seconds) {
@@ -284,13 +253,9 @@ ClosedPhase RunClosed(Rig& rig, double seconds) {
   }
   const LayerCounters before = Snapshot(*rig.d);
   const ReactorCpu cpu_before = ReadReactorCpu(*rig.d);
-  const uint64_t reads_before = SuccessfulReads();
-  SetReadCounting(true);
   rig.RecordVirt(true);
   phase.st = rig.gen->ClosedLoop(Source::kTrace, seconds);
   rig.RecordVirt(false);
-  SetReadCounting(false);
-  phase.reads = SuccessfulReads() - reads_before;
   rig.ReactorCalls();
   const ReactorCpu cpu_after = ReadReactorCpu(*rig.d);
   phase.delta = Snapshot(*rig.d) - before;
@@ -310,28 +275,32 @@ double Sum(const std::vector<int64_t>& v) {
   return sum;
 }
 
-// Flags a run the generator may have limited: it was busy for a larger
-// share of the closed loop than the busiest reactor, or the open-loop
-// schedule slipped.
-void CheckGenerator(const ClosedPhase& closed, const PhaseStats& open, double* cpu_frac,
-                    double* late_p99_us) {
+// Flags a closed-loop phase the generator may have limited: it was busy for
+// a larger share of it than the busiest reactor. Returns its busy share.
+double CheckGeneratorBusy(const ClosedPhase& closed) {
   const double wall_ns = closed.st.wall_s * 1e9;
-  *cpu_frac = closed.st.busy_frac;
   double busiest = 0.0;
   for (int64_t ns : closed.reactor_cpu_ns) {
     busiest = std::max(busiest, static_cast<double>(ns) / wall_ns);
   }
-  std::vector<uint64_t> late = open.late.ns;
-  *late_p99_us = QuantilesUs(&late).p99;
-  if (*cpu_frac > busiest) {
+  if (closed.st.busy_frac > busiest) {
     std::fprintf(stderr,
                  "# FLAG: generator busy share %.3f exceeds the busiest reactor CPU share %.3f\n",
-                 *cpu_frac, busiest);
+                 closed.st.busy_frac, busiest);
   }
-  if (*late_p99_us > 1000.0) {
+  return closed.st.busy_frac;
+}
+
+// Flags an open-loop phase whose schedule slipped. Returns the p99 of how
+// late ops were sent, in us.
+double CheckGeneratorLate(const PhaseStats& open) {
+  std::vector<uint64_t> late = open.late.ns;
+  const double late_p99_us = QuantilesUs(&late).p99;
+  if (late_p99_us > 1000.0) {
     std::fprintf(stderr, "# FLAG: open-loop schedule slipped: p99 lateness %.1f us\n",
-                 *late_p99_us);
+                 late_p99_us);
   }
+  return late_p99_us;
 }
 
 std::vector<std::vector<uint64_t>> ByWindow(const LatencySamples& s) {
@@ -345,7 +314,7 @@ std::vector<std::vector<uint64_t>> ByWindow(const LatencySamples& s) {
   return by_window;
 }
 
-// Median over 100 ms windows of each window's nearest-rank p50 and p99, so
+// Median over 100 ms windows of each window's nearest-rank p99, so
 // a host stall inside one window does not set the whole run's tail. Windows
 // with fewer than 1000 samples (10 beyond p99) are left out, and so are
 // windows in which the generator itself sent late (p99 lateness over
@@ -354,10 +323,7 @@ std::vector<std::vector<uint64_t>> ByWindow(const LatencySamples& s) {
 struct WindowedQuantiles {
   static constexpr uint64_t kLateLimitNs = 100000;
 
-  std::vector<double> p50;
   std::vector<double> p99;
-  uint64_t samples = 0;
-  size_t late_windows = 0;
 
   void Add(const LatencySamples& s, const LatencySamples& late) {
     std::vector<std::vector<uint64_t>> by_window = ByWindow(s);
@@ -373,12 +339,8 @@ struct WindowedQuantiles {
         on_time.push_back(w);
       }
     }
-    late_windows += all.size() - on_time.size();
     for (size_t w : on_time.empty() ? all : on_time) {
-      samples += by_window[w].size();
-      const Quantiles q = QuantilesUs(&by_window[w]);
-      p50.push_back(q.p50);
-      p99.push_back(q.p99);
+      p99.push_back(QuantilesUs(&by_window[w]).p99);
     }
   }
 };
@@ -386,8 +348,6 @@ struct WindowedQuantiles {
 }  // namespace
 
 void RunServed(const RunArgs& args, Report* report) {
-  const ServedSpec spec = SpecFor(args.workload);
-  const bool hit = args.workload == "served-hit";
   std::string error;
 
   std::vector<double> setup_s;
@@ -398,9 +358,9 @@ void RunServed(const RunArgs& args, Report* report) {
   for (int i = 0; i < setups; ++i) {
     rig.reset();
     const int64_t begin = NowNs();
-    trace = MakeTrace(spec, args.seed);
+    trace = MakeTrace(args.seed);
     const int64_t generated = NowNs();
-    rig = SetUp(spec, trace, Wrap::kCount, &error);
+    rig = SetUp(trace, Wrap::kCount, &error);
     if (rig == nullptr) {
       report->Fail("set-up: " + error);
       return;
@@ -414,10 +374,8 @@ void RunServed(const RunArgs& args, Report* report) {
     const ClosedPhase plain = RunClosed(*rig, args.seconds * 0.25);
     const PhaseStats open = rig->gen->OpenLoop(Source::kTrace, args.seconds * 0.15,
                                                kOpenRate);
-    PhaseStats set_phase;
-    if (hit) {
-      set_phase = rig->gen->OpenLoop(Source::kTraceAsSet, args.seconds * 0.05, kOpenRate);
-    }
+    const PhaseStats set_phase =
+        rig->gen->OpenLoop(Source::kTraceAsSet, args.seconds * 0.05, kOpenRate);
     AddTally(plain.st, report);
     AddTally(open, report);
     AddTally(set_phase, report);
@@ -425,17 +383,18 @@ void RunServed(const RunArgs& args, Report* report) {
     WindowedQuantiles get;
     WindowedQuantiles set;
     get.Add(open.get, open.late);
-    set.Add(hit ? set_phase.set : open.set, hit ? set_phase.late : open.late);
+    set.Add(set_phase.set, set_phase.late);
     run.get_p99_us = Median(get.p99);
     run.set_p99_us = Median(set.p99);
-    CheckGenerator(plain, open, &run.loadgen_cpu_frac, &run.loadgen_late_p99_us);
+    run.loadgen_cpu_frac = CheckGeneratorBusy(plain);
+    run.loadgen_late_p99_us = CheckGeneratorLate(open);
     CheckServed(*rig, report);
     run.error_replies =
         plain.st.tally.error_replies + open.tally.error_replies + set_phase.tally.error_replies;
     run.shed_ops = rig->server->stats().shed_ops;
     rig.reset();
 
-    rig = SetUp(spec, trace, Wrap::kTrace, &error);
+    rig = SetUp(trace, Wrap::kTrace, &error);
     if (rig == nullptr) {
       report->Fail("traced set-up: " + error);
       return;
@@ -479,7 +438,7 @@ void RunServed(const RunArgs& args, Report* report) {
     run.wall_s = traced.st.wall_s;
     run.threads = kReactors;
     run.clients = kReactors;
-    run.capacity = spec.capacity;
+    run.capacity = kCapacity;
     run.table_slots = rig->d->pool->num_slots();
     run.served = true;
     VirtualHistogram virt;
@@ -493,7 +452,6 @@ void RunServed(const RunArgs& args, Report* report) {
       run.system_sys_ns += static_cast<double>(ticks) * 1e9 / TicksPerSecond();
     }
     const double commands = static_cast<double>(traced.delta.gets + traced.delta.sets);
-    run.cmds_per_batch = traced.reads == 0 ? 0.0 : commands / static_cast<double>(traced.reads);
     const uint64_t max_ops =
         *std::max_element(traced.reactor_ops.begin(), traced.reactor_ops.end());
     const double mean_ops = commands / kReactors;
@@ -514,28 +472,27 @@ void RunServed(const RunArgs& args, Report* report) {
     return;
   }
 
-  // Measured rounds, each a closed-loop window then open-loop windows, so a
-  // slow spell of the host lands in a few rounds; per-round values and
-  // per-window latencies are reduced to medians.
-  std::vector<double> sat, cpu, virt_mops;
-  WindowedQuantiles get;
-  WindowedQuantiles set;
+  // Measured rounds until the run's time is used (at least three). The
+  // generator (this thread) and the two reactors run on three distinct
+  // CPUs, one CPU further along each round.
+  const int64_t deadline = NowNs() + static_cast<int64_t>(args.seconds * 1e9);
+  std::vector<double> sat, cpu, virt_mops, get_p50, set_p50;
   uint64_t gets = 0;
   uint64_t hits = 0;
-  double cpu_frac = 0.0;
-  double late_p99_us = 0.0;
-  for (int round = 0; round < kRounds; ++round) {
-    const ClosedPhase closed = RunClosed(*rig, args.seconds * 0.045);
-    const PhaseStats open = rig->gen->OpenLoop(
-        Source::kTrace, args.seconds * (hit ? 0.035 : 0.05), kOpenRate);
-    PhaseStats set_phase;
-    if (hit) {
-      set_phase = rig->gen->OpenLoop(Source::kTraceAsSet, args.seconds * 0.015, kOpenRate);
-    }
+  int64_t longest = 0;
+  CpuRotation cpus;
+  std::vector<pid_t> busy = {CurrentTid()};
+  for (auto& c : rig->d->clients) {
+    busy.push_back(c->tid());
+  }
+  while (sat.size() < 3 || NowNs() + longest < deadline) {
+    const int64_t begin = NowNs();
+    cpus.Pin(sat.size(), busy);
+    ClosedPhase closed = RunClosed(*rig, kGetWindowS);
+    PhaseStats set_phase = rig->gen->ClosedLoop(Source::kTraceAsSet, kSetWindowS);
     AddTally(closed.st, report);
-    AddTally(open, report);
     AddTally(set_phase, report);
-    CheckGenerator(closed, open, &cpu_frac, &late_p99_us);
+    CheckGeneratorBusy(closed);
 
     const auto ops = static_cast<double>(closed.st.trace_ops);
     const LayerCounters& d = closed.delta;
@@ -547,31 +504,27 @@ void RunServed(const RunArgs& args, Report* report) {
     virt_mops.push_back(ops / virt_elapsed_ns * 1000.0);
     gets += closed.st.gets;
     hits += closed.st.hits;
-    get.Add(open.get, open.late);
-    set.Add(hit ? set_phase.set : open.set, hit ? set_phase.late : open.late);
+    get_p50.push_back(QuantilesUs(&closed.st.get.ns).p50);
+    set_p50.push_back(QuantilesUs(&set_phase.set.ns).p50);
+    longest = std::max(longest, NowNs() - begin);
   }
+  std::fprintf(stderr, "# served-hit: %zu rounds of a %.2f s GET window and a %.2f s SET window\n",
+               sat.size(), kGetWindowS, kSetWindowS);
   CheckServed(*rig, report);
   VirtualHistogram virt;
   for (auto& c : rig->d->clients) {
     virt.Merge(c->virt());
   }
-  std::fprintf(stderr,
-               "# %s: %d rounds; open loop at %.0f op/s: %llu gets in %zu windows, %llu sets "
-               "in %zu windows (%zu and %zu windows left out: the generator sent late)\n",
-               args.workload.c_str(), kRounds, kOpenRate,
-               static_cast<unsigned long long>(get.samples), get.p99.size(),
-               static_cast<unsigned long long>(set.samples), set.p99.size(), get.late_windows,
-               set.late_windows);
 
   report->Set("setup_s", Median(setup_s), "s");
   report->Set("sat_kops", Median(sat), "kop/s");
-  report->Set("get_p50_us", Median(get.p50), "us");
-  report->Set("set_p50_us", Median(set.p50), "us");
+  report->Set("get_p50_us", Median(get_p50), "us");
+  report->Set("set_p50_us", Median(set_p50), "us");
   report->Set("hit_rate", static_cast<double>(hits) / static_cast<double>(gets), "ratio");
   report->Set("virt_mops", Median(virt_mops), "Mop/s");
   report->Set("virt_mean_us", virt.MeanNs() / 1000.0, "us");
   report->Set("cpu_us_per_op", Median(cpu), "us");
-  report->Set("peak_rss_mb", PeakRssMb(), "MB");
+  report->Set("node_mem_mb", NodeMemMb(*rig->d), "MiB");
 }
 
 }  // namespace perfbench

@@ -1,4 +1,4 @@
-// The four benchmark workloads. Each fills a Report with every end-to-end
+// The benchmark workloads. Each fills a Report with every end-to-end
 // metric (untraced run) or every per-layer metric (traced run), plus the
 // run's attempted/failed op counts and any failed output check.
 #ifndef PERFBENCH_WORKLOADS_H_
@@ -21,13 +21,13 @@ struct RunArgs {
   std::string out_dir = ".perfbench_out";  // raw spans of traced runs
 };
 
-// served-hit, served-churn: loopback RESP against an in-process net::Server.
+// served-hit: loopback RESP against an in-process net::Server.
 void RunServed(const RunArgs& args, Report* report);
-// replay-shift, replay-contended: in-process replay engines.
+// replay-shift: the in-process replay engine.
 void RunReplay(const RunArgs& args, Report* report);
 
 // Set-up repetitions per run; setup_s reports their median.
-inline constexpr int kSetupReps = 3;
+inline constexpr int kSetupReps = 5;
 
 // Writes the retained raw spans of every recorder as TSV (recorder, op,
 // span, parent, start and end in ns from the first span).
