@@ -20,7 +20,6 @@
 #include "common/flags.h"
 #include "core/cluster.h"
 #include "core/ditto_client.h"
-#include "core/sharded_client.h"
 #include "dm/pool.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
@@ -159,8 +158,11 @@ inline DittoDeployment MakeDitto(const dm::PoolConfig& pool_config,
 // A sharded-engine deployment for sim::RunTraceSharded: one memory node,
 // server, context, and Ditto client per shard, so every shard's cache state
 // (and virtual-time accounting) is private to the worker thread driving it.
+// Every client is bound directly to its node; RunTraceSharded's dispatcher
+// routes requests with sim::ShardForKey(options.partition_seed), so the
+// shard count has no ring bound.
 struct ShardedEngineDeployment {
-  std::unique_ptr<core::ShardedPool> pool;
+  std::vector<std::unique_ptr<dm::MemoryPool>> pools;
   std::vector<std::unique_ptr<core::DittoServer>> servers;
   std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
   std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
@@ -172,24 +174,21 @@ inline ShardedEngineDeployment MakeShardedEngine(const dm::PoolConfig& per_node_
                                                  const core::DittoConfig& config,
                                                  int num_shards) {
   ShardedEngineDeployment d;
-  // The pool's own key routing (NodeFor) is unused here: every client is
-  // bound directly to its node, and RunTraceSharded's dispatcher routes
-  // requests with sim::ShardForKey(options.partition_seed).
-  d.pool = std::make_unique<core::ShardedPool>(per_node_config, num_shards);
   for (int i = 0; i < num_shards; ++i) {
-    d.servers.push_back(std::make_unique<core::DittoServer>(&d.pool->node(i), config));
+    dm::MemoryPool* pool =
+        d.pools.emplace_back(std::make_unique<dm::MemoryPool>(per_node_config)).get();
+    d.servers.push_back(std::make_unique<core::DittoServer>(pool, config));
     d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
-    d.shards.push_back(
-        std::make_unique<sim::DittoCacheClient>(&d.pool->node(i), d.ctxs.back().get(), config));
+    d.shards.push_back(std::make_unique<sim::DittoCacheClient>(pool, d.ctxs.back().get(), config));
     d.raw.push_back(d.shards.back().get());
-    d.nodes.push_back(&d.pool->node(i).node());
+    d.nodes.push_back(&pool->node());
   }
   return d;
 }
 
-// A fault-tolerant cluster deployment: N memory nodes behind a hash ring,
-// driven by retrying ClusterCacheClients (see core/cluster.h). Lifecycle
-// steps come from RunOptions::lifecycle_schedule.
+// A multi-memory-node deployment: N memory nodes behind a hash ring, driven
+// by retrying ClusterCacheClients (see core/cluster.h). Lifecycle steps come
+// from RunOptions::lifecycle_schedule.
 struct ClusterDeployment {
   std::unique_ptr<core::ClusterPool> pool;
   std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;

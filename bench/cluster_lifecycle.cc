@@ -176,17 +176,17 @@ int main(int argc, char** argv) {
   // --- migrate: planned leave + join, priced vs baselines ------------------
   bench::ClusterDeployment mig_d = bench::MakeCluster(cluster_config, 1);
   bench::Preload(mig_d.raw, trace, options.value_bytes);
-  core::ClusterClient& mig = mig_d.clients[0]->cluster();
+  sim::CacheClient& mig = *mig_d.raw[0];
   VirtualClock& mig_clock = mig_d.ctxs[0]->clock();
 
   const uint64_t leave_begin_ns = mig_clock.busy_ns();
-  mig.ApplyLeave(victim);
+  mig.ApplyLifecycle({0.0, sim::LifecycleKind::kLeave, victim});
   const double leave_s =
       static_cast<double>(mig_clock.busy_ns() - leave_begin_ns) / 1e9;
   const uint64_t moved_leave = mig_d.pool->migrated_objects();
 
   const uint64_t join_begin_ns = mig_clock.busy_ns();
-  mig.ApplyJoin(victim);
+  mig.ApplyLifecycle({0.0, sim::LifecycleKind::kJoin, victim});
   const double join_s = static_cast<double>(mig_clock.busy_ns() - join_begin_ns) / 1e9;
   const uint64_t moved_join = mig_d.pool->migrated_objects() - moved_leave;
 

@@ -1,6 +1,7 @@
 #include "core/cluster.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/hash.h"
 #include "core/object.h"
@@ -13,11 +14,23 @@ namespace {
 // segment-sized READ, so a full table sweep costs num_slots/64 messages plus
 // one object READ per misplaced object.
 constexpr int kMigrateChunkSlots = 64;
+
+// Adds the per-node counters of `s` into `total`. The logical once-per-op
+// counters (gets/hits/misses/sets/deletes) are kept by ClusterClient itself.
+void AddNodeCounters(const DittoStats& s, DittoStats* total) {
+  total->evictions += s.evictions;
+  total->expired += s.expired;
+  total->regrets += s.regrets;
+  total->set_retries += s.set_retries;
+  total->cas_failures += s.cas_failures;
+  total->insert_retries += s.insert_retries;
+  total->dup_resolved += s.dup_resolved;
+}
 }  // namespace
 
 ClusterPool::ClusterPool(const ClusterConfig& config)
-    : config_(config),
-      ring_(static_cast<uint32_t>(config.nodes), config.partition_seed) {
+    : config_(config), ring_(static_cast<uint32_t>(config.nodes)) {
+  assert(config.nodes >= 1 && config.nodes <= kMaxRingNodes);
   generations_owned_ =
       std::make_unique<std::atomic<uint64_t>[]>(static_cast<size_t>(config_.nodes));
   generations_ = generations_owned_.get();
@@ -104,14 +117,7 @@ void ClusterClient::RefreshNode(int node) {
   if (clients_[i] != nullptr) {
     // Keep the retired client's non-logical counters: the wipe destroys the
     // client, not the history of what it did.
-    const DittoStats& s = clients_[i]->stats();
-    retired_.evictions += s.evictions;
-    retired_.expired += s.expired;
-    retired_.regrets += s.regrets;
-    retired_.set_retries += s.set_retries;
-    retired_.cas_failures += s.cas_failures;
-    retired_.insert_retries += s.insert_retries;
-    retired_.dup_resolved += s.dup_resolved;
+    AddNodeCounters(clients_[i]->stats(), &retired_);
   }
   clients_[i] = std::make_unique<DittoClient>(&pool_->node(node), ctx_, ditto_config_);
   if (batch_ops_ > 0) {
@@ -405,7 +411,6 @@ uint64_t ClusterClient::MigrateMisplaced(int src) {
   }
   // ditto-lint: hot-path-end(migrate-copy)
   pool_->AddMigrated(moved);
-  migrated_ += moved;
   return moved;
 }
 
@@ -440,14 +445,7 @@ uint64_t ClusterClient::EndPipelinedOp() {
 DittoStats ClusterClient::stats() const {
   DittoStats total = retired_;
   for (const auto& client : clients_) {
-    const DittoStats& s = client->stats();
-    total.evictions += s.evictions;
-    total.expired += s.expired;
-    total.regrets += s.regrets;
-    total.set_retries += s.set_retries;
-    total.cas_failures += s.cas_failures;
-    total.insert_retries += s.insert_retries;
-    total.dup_resolved += s.dup_resolved;
+    AddNodeCounters(client->stats(), &total);
   }
   // Logical once-per-op counters: retried attempts and migration traffic do
   // not inflate the op mix the client actually served.

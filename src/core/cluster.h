@@ -1,13 +1,18 @@
-// Fault-tolerant multi-node deployment: the cluster lifecycle layer on top of
-// the sharded pool design.
+// Multi-memory-node deployment (paper §5.1: "Ditto is compatible with memory
+// pools with multiple MNs as long as the memory pool offers the required
+// interfaces"), with fault tolerance and a dynamic node set.
 //
-// ClusterPool owns N memory nodes (like ShardedPool), but routes keys through
-// an epoch-swapped HashRing instead of an immutable directory, arms every
-// node's FaultState so verbs can fail, and provides the lifecycle verbs —
-// Crash / Restart / Leave / Join — that the simulated schedule applies.
+// ClusterPool owns N memory nodes (1 <= N <= kMaxRingNodes) and their Ditto
+// servers, routes keys through an epoch-swapped HashRing, arms every node's
+// FaultState so verbs can fail, and provides the lifecycle verbs — Crash /
+// Restart / Leave / Join — that the simulated schedule applies.
 //
-// ClusterClient mirrors ShardedDittoClient's surface (so the same replay
-// adapter drives both), adding:
+// ClusterClient fans one client thread out across per-node DittoClients that
+// share one ClientContext (one virtual clock per client thread, one NIC/CPU
+// model per memory node), so adding memory nodes scales the pool's aggregate
+// NIC message rate — the resource that bounds Ditto's throughput on a single
+// MN. It offers the DittoClient surface (so the same replay adapter drives
+// both), adding:
 //   * per-op retry with exponential backoff charged to virtual time: each
 //     attempt clears the QP's sticky fault status, re-routes through the
 //     current ring epoch, and backs off before re-issuing; Set republish is
@@ -22,9 +27,10 @@
 //     torn object reads are rejected by the object checksum and Set/Delete go
 //     through the normal CAS-published paths.
 //
-// With an empty FaultPlan and an unchanged ring, every op routes and executes
-// exactly like ShardedDittoClient: verb counts, NIC messages, and hit rates
-// are bit-identical (pinned by tests/cluster_test.cc).
+// With an empty FaultPlan and an unchanged ring, the fault layer is free: a
+// 1-node cluster is bit-identical to a DittoClient on a plain MemoryPool —
+// verb counts, NIC messages, hit rates and virtual time (pinned by
+// tests/cluster_test.cc).
 #ifndef DITTO_CORE_CLUSTER_H_
 #define DITTO_CORE_CLUSTER_H_
 
@@ -43,10 +49,7 @@
 namespace ditto::core {
 
 struct ClusterConfig {
-  int nodes = 4;
-  // Seed of the ring's directory partition (see ShardedPool): non-zero mixes
-  // the full hash, 0 keeps legacy high-bit routing.
-  uint64_t partition_seed = 1;
+  int nodes = 4;  // 1..kMaxRingNodes
   dm::PoolConfig pool;  // per-node configuration
   DittoConfig ditto;
   // Probabilistic fault legs applied to EVERY node (crash windows are usually
@@ -124,8 +127,8 @@ class ClusterPool {
   std::atomic<uint64_t> migrated_objects_{0};
 };
 
-// One client thread's view of the cluster. Mirrors ShardedDittoClient's
-// surface; single-threaded like it (one instance per ClientContext).
+// One client thread's view of the cluster; single-threaded like DittoClient
+// (one instance per ClientContext).
 class ClusterClient {
  public:
   ClusterClient(ClusterPool* pool, rdma::ClientContext* ctx, const DittoConfig& config);
@@ -134,8 +137,10 @@ class ClusterClient {
   bool Set(std::string_view key, std::string_view value, uint64_t ttl_ticks = 0);
   bool Delete(std::string_view key);
   bool Expire(std::string_view key, uint64_t ttl_ticks);
-  // Pipelined lookup; same contract as ShardedDittoClient::MultiGet. Keys
-  // whose node run failed are retried individually through the Get path.
+  // Pipelined lookup: keys are grouped by owning node and each node's run
+  // chains its metadata verbs behind one doorbell (same contract as
+  // DittoClient::MultiGet). Keys whose node run failed are retried
+  // individually through the Get path. Returns the number of hits.
   size_t MultiGet(size_t n, const std::string_view* keys, std::string* const* values,
                   bool* hits);
 
@@ -177,8 +182,6 @@ class ClusterClient {
   DittoStats stats() const;
   void ResetStats();
   rdma::ClientContext& ctx() { return *ctx_; }
-  DittoClient& client_for_node(int i) { return *clients_[i]; }
-  uint64_t migrated_objects() const { return migrated_; }
 
  private:
   // The per-node client, recreated first if the node was wiped since we last
@@ -214,14 +217,13 @@ class ClusterClient {
   uint64_t local_steps_seen_ = 0;
   uint64_t last_total_capacity_ = 0;
   bool last_unavailable_ = false;
-  uint64_t migrated_ = 0;
 
   // Logical (once-per-op) counters + counters inherited from clients retired
   // by node wipes.
   DittoStats ops_;
   DittoStats retired_;
 
-  // MultiGet scatter/gather scratch (mirrors ShardedDittoClient).
+  // MultiGet scatter/gather scratch, reused across runs.
   std::vector<std::vector<size_t>> mg_by_node_;
   std::vector<std::string_view> mg_keys_;
   std::vector<std::string*> mg_values_;

@@ -1,10 +1,10 @@
-// Epoch-swapped consistent-hash ring: the mutable replacement for
-// ShardedPool's immutable node directory.
+// Epoch-swapped consistent-hash ring: the key router of core::ClusterPool.
 //
 // Placement is directory-primary with rendezvous fallback:
-//   1. Every key has a PRIMARY node given by the legacy directory function
-//      (bit-identical to ShardedPool::NodeFor over the initial node count),
-//      so a ring that never changes routes exactly like the sharded pool.
+//   1. Every key has a PRIMARY node given by a fixed directory function
+//      (SeededPartition of the key hash over the initial node count, seed
+//      kRingSeed), so a ring that never changes routes every key to the
+//      same node, like an immutable hash directory.
 //   2. If the primary is not live (crashed or departed), the key falls back
 //      to highest-random-weight (rendezvous) hashing over the live set, so
 //      only the dead node's keys move — the consistent-hashing property —
@@ -21,6 +21,8 @@
 // never primary; they serve keys only through rendezvous fallback of dead
 // primaries. Growing the directory itself would remap nearly every key
 // (the modulo changes) and is deliberately unsupported.
+//
+// Liveness is one 64-bit mask, so a ring spans at most kMaxRingNodes nodes.
 #ifndef DITTO_CORE_RING_H_
 #define DITTO_CORE_RING_H_
 
@@ -34,6 +36,11 @@
 #include "common/thread_annotations.h"
 
 namespace ditto::core {
+
+// Upper bound on ring membership: node i is bit i of the live mask.
+inline constexpr int kMaxRingNodes = 64;
+// Seed of the primary directory partition and of the rendezvous scores.
+inline constexpr uint64_t kRingSeed = 1;
 
 // Wire form of one membership event, as a gossip/announce message would carry
 // it: which node changed state, and the epoch the change produced. Pinned
@@ -53,7 +60,7 @@ static_assert(sizeof(RingEntry) == 16, "RingEntry must match the 16-byte wire re
 struct RingEpochHeader {
   uint64_t epoch;
   uint64_t live_mask;       // bit i set = node i live
-  uint32_t directory_size;  // legacy routing domain (initial node count)
+  uint32_t directory_size;  // primary routing domain (initial node count)
   uint32_t num_live;
 };
 static_assert(std::is_trivially_copyable_v<RingEpochHeader>,
@@ -64,13 +71,9 @@ static_assert(sizeof(RingEpochHeader) == 24,
 // One immutable published ring state.
 class RingEpoch {
  public:
-  RingEpoch(uint64_t epoch, uint32_t directory_size, uint64_t partition_seed,
-            uint64_t live_mask)
-      : epoch_(epoch),
-        directory_size_(directory_size),
-        partition_seed_(partition_seed),
-        live_mask_(live_mask) {
-    for (uint32_t id = 0; id < 64; ++id) {
+  RingEpoch(uint64_t epoch, uint32_t directory_size, uint64_t live_mask)
+      : epoch_(epoch), directory_size_(directory_size), live_mask_(live_mask) {
+    for (uint32_t id = 0; id < kMaxRingNodes; ++id) {
       if ((live_mask_ >> id) & 1) {
         live_.push_back(id);
       }
@@ -81,7 +84,7 @@ class RingEpoch {
   uint64_t live_mask() const { return live_mask_; }
   const std::vector<uint32_t>& live() const { return live_; }
   bool IsLive(uint32_t node_id) const {
-    return node_id < 64 && ((live_mask_ >> node_id) & 1) != 0;
+    return node_id < kMaxRingNodes && ((live_mask_ >> node_id) & 1) != 0;
   }
 
   RingEpochHeader header() const {
@@ -89,14 +92,9 @@ class RingEpoch {
                            static_cast<uint32_t>(live_.size())};
   }
 
-  // The key's primary under the legacy directory function — bit-identical to
-  // ShardedPool::NodeFor so an unchanged ring routes exactly like the
-  // immutable sharded directory.
+  // The key's primary under the fixed directory function.
   uint32_t PrimaryFor(uint64_t hash) const {
-    if (partition_seed_ != 0) {
-      return static_cast<uint32_t>(SeededPartition(hash, directory_size_, partition_seed_));
-    }
-    return static_cast<uint32_t>((hash >> 48) % directory_size_);
+    return SeededPartition(hash, directory_size_, kRingSeed);
   }
 
   // Routes a key: primary if live, rendezvous over the live set otherwise.
@@ -112,7 +110,7 @@ class RingEpoch {
       // Highest-random-weight: every client scores (key, node) identically,
       // so the fallback owner needs no coordination and moves only when the
       // live set changes.
-      const uint64_t score = Mix64(hash ^ Mix64(partition_seed_ + id + 1));
+      const uint64_t score = Mix64(hash ^ Mix64(kRingSeed + id + 1));
       if (best < 0 || score > best_score) {
         best = static_cast<int>(id);
         best_score = score;
@@ -124,7 +122,6 @@ class RingEpoch {
  private:
   uint64_t epoch_;
   uint32_t directory_size_;
-  uint64_t partition_seed_;
   uint64_t live_mask_;
   std::vector<uint32_t> live_;
 };
@@ -132,11 +129,10 @@ class RingEpoch {
 class HashRing {
  public:
   // Epoch 0: all `directory_size` directory nodes live.
-  HashRing(uint32_t directory_size, uint64_t partition_seed)
-      : directory_size_(directory_size), partition_seed_(partition_seed) {
+  explicit HashRing(uint32_t directory_size) : directory_size_(directory_size) {
     auto epoch0 = std::make_unique<RingEpoch>(
-        0, directory_size, partition_seed,
-        directory_size >= 64 ? ~uint64_t{0} : (uint64_t{1} << directory_size) - 1);
+        0, directory_size,
+        directory_size >= kMaxRingNodes ? ~uint64_t{0} : (uint64_t{1} << directory_size) - 1);
     current_.store(epoch0.get(), std::memory_order_release);
     MutexLock lock(&mu_);
     epochs_.push_back(std::move(epoch0));
@@ -161,8 +157,7 @@ class HashRing {
     const RingEpoch* cur = current_.load(std::memory_order_acquire);
     const uint64_t bit = uint64_t{1} << node_id;
     const uint64_t mask = live ? (cur->live_mask() | bit) : (cur->live_mask() & ~bit);
-    auto next = std::make_unique<RingEpoch>(cur->epoch() + 1, directory_size_,
-                                            partition_seed_, mask);
+    auto next = std::make_unique<RingEpoch>(cur->epoch() + 1, directory_size_, mask);
     const uint64_t epoch = next->epoch();
     current_.store(next.get(), std::memory_order_release);
     epochs_.push_back(std::move(next));
@@ -170,7 +165,6 @@ class HashRing {
   }
 
   uint32_t directory_size_;
-  uint64_t partition_seed_;
   mutable Mutex mu_;
   // Append-only: old epochs stay alive so a reader holding a stale pointer
   // never dereferences freed memory.

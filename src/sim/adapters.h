@@ -1,12 +1,12 @@
-// Adapters making core::DittoClient / core::ShardedDittoClient drivable by
-// the experiment runner through the typed CacheOp protocol.
+// Adapters making core::DittoClient (one memory node) and core::ClusterClient
+// (any number of memory nodes) drivable by the experiment runner through the
+// typed CacheOp protocol.
 //
 // Both adapters share DittoAdapterBase, which implements the whole
 // CacheClient surface once: typed batch dispatch (including fusing
 // consecutive kMultiGet ops into one chained multi-get), the
 // DittoStats -> ClientCounters mapping, and the measurement-boundary reset.
-// The two concrete adapters only differ in how the wrapped client is
-// constructed.
+// The cluster adapter adds only fault-outcome stamping and lifecycle steps.
 #ifndef DITTO_SIM_ADAPTERS_H_
 #define DITTO_SIM_ADAPTERS_H_
 
@@ -15,7 +15,6 @@
 
 #include "core/cluster.h"
 #include "core/ditto_client.h"
-#include "core/sharded_client.h"
 #include "sim/client_iface.h"
 
 namespace ditto::sim {
@@ -142,21 +141,11 @@ class DittoCacheClient : public DittoAdapterBase<core::DittoClient> {
   core::DittoClient& ditto() { return client_; }
 };
 
-// Adapter for multi-memory-node deployments.
-class ShardedDittoCacheClient : public DittoAdapterBase<core::ShardedDittoClient> {
- public:
-  ShardedDittoCacheClient(core::ShardedPool* pool, rdma::ClientContext* ctx,
-                          const core::DittoConfig& config)
-      : DittoAdapterBase(pool, ctx, config) {}
-
-  core::ShardedDittoClient& sharded() { return client_; }
-};
-
-// Adapter for fault-tolerant cluster deployments. Re-uses the base dispatch
-// (so fault-free behaviour is bit-identical to ShardedDittoCacheClient), then
-// stamps OpStatus::kUnavailable onto ops whose retries were exhausted — a
-// front end must distinguish "the cluster says miss" from "the cluster cannot
-// answer". Lifecycle steps from the replay schedule are forwarded to the
+// Adapter for multi-memory-node (cluster) deployments. Re-uses the base
+// dispatch (so a fault-free 1-node cluster is bit-identical to
+// DittoCacheClient on a plain pool), then stamps OpStatus::kUnavailable onto
+// ops whose retries were exhausted — a front end must distinguish "the
+// cluster says miss" from "the cluster cannot answer". Lifecycle steps from the replay schedule are forwarded to the
 // cluster client, which applies them globally-once and migrates keys.
 class ClusterCacheClient : public DittoAdapterBase<core::ClusterClient> {
  public:
@@ -205,8 +194,6 @@ class ClusterCacheClient : public DittoAdapterBase<core::ClusterClient> {
         break;
     }
   }
-
-  core::ClusterClient& cluster() { return client_; }
 };
 
 }  // namespace ditto::sim

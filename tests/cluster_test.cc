@@ -1,10 +1,12 @@
-// Cluster lifecycle and fault-injection pins.
+// Multi-memory-node deployment pins: cluster lifecycle and fault injection.
+// Key routing and cross-node client ops are covered by sharded_test.
 //
 // The load-bearing guarantees:
-//   * With an empty FaultPlan and stable membership, the cluster client is
-//     BIT-IDENTICAL to ShardedDittoClient — same hits, verb counts, NIC
-//     messages, and virtual-time accounting — so the fault layer is free
-//     until something actually fails.
+//   * With an empty FaultPlan and stable membership, a 1-node cluster is
+//     BIT-IDENTICAL to a DittoClient on a plain MemoryPool — same hits, verb
+//     counts, NIC messages, and virtual-time accounting — so the fault layer
+//     is free until something actually fails. A fault-free 4-node run is
+//     pinned to fixed counters.
 //   * A fixed fault seed makes whole runs reproducible: identical seeds give
 //     identical recovery trajectories, counter for counter.
 //   * Crashing 1 of 4 nodes mid-replay never stops service, and the windowed
@@ -17,10 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cluster.h"
-#include "core/sharded_client.h"
 #include "sim/adapters.h"
 #include "sim/elastic_oracle.h"
 #include "sim/runner.h"
@@ -31,7 +33,6 @@ namespace ditto {
 namespace {
 
 constexpr int kNodes = 4;
-constexpr uint64_t kPartitionSeed = 1;
 
 dm::PoolConfig PerNodePool(uint64_t capacity_objects) {
   dm::PoolConfig config;
@@ -66,7 +67,6 @@ struct ClusterDeployment {
 core::ClusterConfig TestClusterConfig(uint64_t per_node_capacity) {
   core::ClusterConfig config;
   config.nodes = kNodes;
-  config.partition_seed = kPartitionSeed;
   config.pool = PerNodePool(per_node_capacity);
   return config;
 }
@@ -135,42 +135,60 @@ uint64_t RecoveryOps(const std::vector<sim::RecoverySample>& windows, size_t fau
   return ops;
 }
 
-// With an empty FaultPlan and stable membership, a ClusterPool deployment
-// must be indistinguishable — op for op, verb for verb, nanosecond for
-// nanosecond — from the pre-existing ShardedPool deployment it generalizes.
-TEST(ClusterFaultFreeTest, BitIdenticalToShardedClient) {
-  const workload::Trace trace = MixedTrace(40000);
+sim::RunOptions FaultFreeOptions() {
   sim::RunOptions options;
   options.warmup_fraction = 0.2;
   options.miss_penalty_us = 100.0;
+  return options;
+}
 
-  core::ShardedPool sharded_pool(PerNodePool(512), kNodes, kPartitionSeed);
-  std::vector<std::unique_ptr<core::DittoServer>> sharded_servers;
-  std::vector<std::unique_ptr<rdma::ClientContext>> sharded_ctxs;
-  std::vector<std::unique_ptr<sim::ShardedDittoCacheClient>> sharded_clients;
-  std::vector<sim::CacheClient*> sharded_raw;
-  std::vector<rdma::RemoteNode*> sharded_nodes;
-  core::DittoConfig ditto_config;
-  for (int i = 0; i < kNodes; ++i) {
-    sharded_servers.push_back(
-        std::make_unique<core::DittoServer>(&sharded_pool.node(i), ditto_config));
-  }
+// With an empty FaultPlan and stable membership, a 1-node ClusterPool must be
+// indistinguishable — op for op, verb for verb, nanosecond for nanosecond —
+// from a plain single-pool Ditto deployment, elastic resize included.
+TEST(ClusterFaultFreeTest, OneNodeBitIdenticalToPlainPool) {
+  const workload::Trace trace = MixedTrace(40000);
+  sim::RunOptions options = FaultFreeOptions();
+  options.resize_schedule = {{0.5, uint64_t{300}}};
+
+  dm::MemoryPool pool(PerNodePool(512));
+  const core::DittoConfig ditto_config;
+  core::DittoServer server(&pool, ditto_config);
+  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
+  std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
+  std::vector<sim::CacheClient*> raw;
   for (int i = 0; i < 2; ++i) {
-    sharded_ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-    sharded_clients.push_back(std::make_unique<sim::ShardedDittoCacheClient>(
-        &sharded_pool, sharded_ctxs.back().get(), ditto_config));
-    sharded_raw.push_back(sharded_clients.back().get());
+    ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
+    clients.push_back(
+        std::make_unique<sim::DittoCacheClient>(&pool, ctxs.back().get(), ditto_config));
+    raw.push_back(clients.back().get());
   }
-  for (int i = 0; i < kNodes; ++i) {
-    sharded_nodes.push_back(&sharded_pool.node(i).node());
-  }
-  const sim::RunResult sharded = sim::RunTrace(sharded_raw, trace, sharded_nodes, options);
+  const sim::RunResult plain = sim::RunTrace(raw, trace, &pool.node(), options);
 
-  ClusterDeployment cluster(TestClusterConfig(512), 2);
+  core::ClusterConfig config = TestClusterConfig(512);
+  config.nodes = 1;
+  ClusterDeployment cluster(config, 2);
   const sim::RunResult clustered = sim::RunTrace(cluster.raw, trace, cluster.nodes, options);
 
-  ExpectIdenticalResults(sharded, clustered);
+  ExpectIdenticalResults(plain, clustered);
   EXPECT_GT(clustered.hits, 0u);
+  EXPECT_EQ(cluster.pool->migrated_objects(), 0u);
+}
+
+// The fault-free 4-node run, pinned counter for counter: any change to key
+// routing, per-node dispatch, or the verbs a cluster op sends moves these.
+TEST(ClusterFaultFreeTest, FourNodeCountersPinned) {
+  const workload::Trace trace = MixedTrace(40000);
+  ClusterDeployment cluster(TestClusterConfig(512), 2);
+  const sim::RunResult r =
+      sim::RunTrace(cluster.raw, trace, cluster.nodes, FaultFreeOptions());
+
+  EXPECT_EQ(r.ops, 32000u);
+  EXPECT_EQ(r.hits, 14195u);
+  EXPECT_EQ(r.misses, 871u);
+  EXPECT_EQ(r.evictions, 571u);
+  EXPECT_EQ(r.nic_messages, 148094u);
+  EXPECT_EQ(r.nic_doorbells, 147666u);
+  EXPECT_EQ(r.rpc_ops, 14u);
   EXPECT_EQ(cluster.pool->migrated_objects(), 0u);
 }
 

@@ -13,7 +13,7 @@
 #include "baselines/cliquemap.h"
 #include "baselines/redis_model.h"
 #include "baselines/shard_lru.h"
-#include "core/sharded_client.h"
+#include "core/cluster.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
 #include "workloads/ycsb.h"
@@ -119,11 +119,14 @@ TEST(OpApiTest, DittoClientSupportsTypedOps) {
   });
 }
 
-TEST(OpApiTest, ShardedDittoClientSupportsTypedOps) {
-  core::ShardedPool pool(SmallPool(), /*nodes=*/3, /*partition_seed=*/7);
-  core::ShardedDittoServer server(&pool, DittoCfg());
+TEST(OpApiTest, ClusterDittoClientSupportsTypedOps) {
+  core::ClusterConfig config;
+  config.nodes = 3;
+  config.pool = SmallPool();
+  config.ditto = DittoCfg();
+  core::ClusterPool pool(config);
   rdma::ClientContext ctx(0);
-  sim::ShardedDittoCacheClient client(&pool, &ctx, DittoCfg());
+  sim::ClusterCacheClient client(&pool, &ctx, config.ditto);
   ExerciseOpContract(&client, [&](uint64_t n) {
     for (int node = 0; node < pool.num_nodes(); ++node) {
       for (uint64_t i = 0; i < n; ++i) {
@@ -287,7 +290,7 @@ TEST(OpApiTest, MultiGetIssuesFewerDoorbellsThanSingleGets) {
 // ---------------------------------------------------------------------------
 
 struct ShardedDeployment {
-  std::unique_ptr<core::ShardedPool> pool;
+  std::vector<std::unique_ptr<dm::MemoryPool>> pools;
   std::vector<std::unique_ptr<core::DittoServer>> servers;
   std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
   std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
@@ -301,14 +304,15 @@ ShardedDeployment MakeShardedDeployment(int num_shards) {
   pool_config.num_buckets = 1024;
   pool_config.capacity_objects = 300;
   ShardedDeployment d;
-  d.pool = std::make_unique<core::ShardedPool>(pool_config, num_shards);
   for (int i = 0; i < num_shards; ++i) {
-    d.servers.push_back(std::make_unique<core::DittoServer>(&d.pool->node(i), DittoCfg()));
+    dm::MemoryPool* pool =
+        d.pools.emplace_back(std::make_unique<dm::MemoryPool>(pool_config)).get();
+    d.servers.push_back(std::make_unique<core::DittoServer>(pool, DittoCfg()));
     d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i, /*seed=*/23));
-    d.shards.push_back(std::make_unique<sim::DittoCacheClient>(&d.pool->node(i),
-                                                               d.ctxs.back().get(), DittoCfg()));
+    d.shards.push_back(
+        std::make_unique<sim::DittoCacheClient>(pool, d.ctxs.back().get(), DittoCfg()));
     d.raw.push_back(d.shards.back().get());
-    d.nodes.push_back(&d.pool->node(i).node());
+    d.nodes.push_back(&pool->node());
   }
   return d;
 }

@@ -353,19 +353,20 @@ TEST_F(PipelineReplayTest, ShardedEngineDepthInvariantAcrossThreadCounts) {
     pool_config.capacity_objects = 200;
     core::DittoConfig config;
     config.experts = {"lru"};
-    auto pool = std::make_unique<core::ShardedPool>(pool_config, kShards);
+    std::vector<std::unique_ptr<dm::MemoryPool>> pools;
     std::vector<std::unique_ptr<core::DittoServer>> servers;
     std::vector<std::unique_ptr<ClientContext>> ctxs;
     std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
     std::vector<sim::CacheClient*> raw;
     std::vector<rdma::RemoteNode*> nodes;
     for (int i = 0; i < kShards; ++i) {
-      servers.push_back(std::make_unique<core::DittoServer>(&pool->node(i), config));
+      dm::MemoryPool* pool =
+          pools.emplace_back(std::make_unique<dm::MemoryPool>(pool_config)).get();
+      servers.push_back(std::make_unique<core::DittoServer>(pool, config));
       ctxs.push_back(std::make_unique<ClientContext>(i));
-      shards.push_back(
-          std::make_unique<sim::DittoCacheClient>(&pool->node(i), ctxs.back().get(), config));
+      shards.push_back(std::make_unique<sim::DittoCacheClient>(pool, ctxs.back().get(), config));
       raw.push_back(shards.back().get());
-      nodes.push_back(&pool->node(i).node());
+      nodes.push_back(&pool->node());
     }
     sim::RunOptions options;
     options.threads = threads;

@@ -1,10 +1,18 @@
-// Tests of multi-memory-node deployments (ShardedPool / ShardedDittoClient).
+// Tests of multi-memory-node deployments: keys routed over several memory
+// nodes by the HashRing, served through ClusterPool / ClusterClient.
+//
+// The load-bearing guarantees: keys spread evenly over the nodes, every op
+// routes to its owner, capacity and statistics are per node and aggregate
+// correctly, and more memory nodes relieve the single-NIC throughput bound.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/hash.h"
-#include "core/sharded_client.h"
+#include "core/cluster.h"
+#include "core/ring.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
 #include "workloads/ycsb.h"
@@ -12,28 +20,27 @@
 namespace ditto::core {
 namespace {
 
-dm::PoolConfig PerNode(uint64_t capacity) {
-  dm::PoolConfig config;
-  config.memory_bytes = 16 << 20;
-  config.num_buckets = 1024;
-  config.capacity_objects = capacity;
-  config.cost = rdma::CostModel::Disabled();
-  return config;
-}
-
-DittoConfig LruLfu() {
-  DittoConfig config;
-  config.experts = {"lru", "lfu"};
+// Cost model off: these cases pin behaviour only.
+ClusterConfig SmallCluster(int nodes, uint64_t per_node_capacity) {
+  ClusterConfig config;
+  config.nodes = nodes;
+  config.pool.memory_bytes = 16 << 20;
+  config.pool.num_buckets = 1024;
+  config.pool.capacity_objects = per_node_capacity;
+  config.pool.cost = rdma::CostModel::Disabled();
+  config.ditto.experts = {"lru", "lfu"};
   return config;
 }
 
 TEST(ShardedTest, RoutingIsDeterministicAndCovered) {
-  ShardedPool pool(PerNode(1000), 4);
+  const HashRing ring(4);
   int seen[4] = {0, 0, 0, 0};
   for (int i = 0; i < 10000; ++i) {
-    const int node = pool.NodeFor(HashKey("key-" + std::to_string(i)));
+    const uint64_t hash = HashKey("key-" + std::to_string(i));
+    const int node = ring.NodeFor(hash);
     ASSERT_GE(node, 0);
     ASSERT_LT(node, 4);
+    ASSERT_EQ(node, ring.NodeFor(hash));
     seen[node]++;
   }
   for (int n = 0; n < 4; ++n) {
@@ -42,11 +49,10 @@ TEST(ShardedTest, RoutingIsDeterministicAndCovered) {
 }
 
 TEST(ShardedTest, SetGetAcrossNodes) {
-  ShardedPool pool(PerNode(1000), 3);
-  DittoConfig config = LruLfu();
-  ShardedDittoServer server(&pool, config);
+  const ClusterConfig config = SmallCluster(3, 1000);
+  ClusterPool pool(config);
   rdma::ClientContext ctx(0);
-  ShardedDittoClient client(&pool, &ctx, config);
+  ClusterClient client(&pool, &ctx, config.ditto);
 
   for (int i = 0; i < 500; ++i) {
     client.Set("key-" + std::to_string(i), "value-" + std::to_string(i));
@@ -68,11 +74,10 @@ TEST(ShardedTest, SetGetAcrossNodes) {
 }
 
 TEST(ShardedTest, DeleteRoutesToOwningNode) {
-  ShardedPool pool(PerNode(1000), 2);
-  DittoConfig config = LruLfu();
-  ShardedDittoServer server(&pool, config);
+  const ClusterConfig config = SmallCluster(2, 1000);
+  ClusterPool pool(config);
   rdma::ClientContext ctx(0);
-  ShardedDittoClient client(&pool, &ctx, config);
+  ClusterClient client(&pool, &ctx, config.ditto);
 
   client.Set("a", "1");
   client.Set("b", "2");
@@ -82,11 +87,10 @@ TEST(ShardedTest, DeleteRoutesToOwningNode) {
 }
 
 TEST(ShardedTest, PerNodeCapacityEnforced) {
-  ShardedPool pool(PerNode(100), 4);  // 400 objects aggregate
-  DittoConfig config = LruLfu();
-  ShardedDittoServer server(&pool, config);
+  const ClusterConfig config = SmallCluster(4, 100);  // 400 objects aggregate
+  ClusterPool pool(config);
   rdma::ClientContext ctx(0);
-  ShardedDittoClient client(&pool, &ctx, config);
+  ClusterClient client(&pool, &ctx, config.ditto);
 
   for (int i = 0; i < 2000; ++i) {
     client.Set("key-" + std::to_string(i), "v");
@@ -96,11 +100,10 @@ TEST(ShardedTest, PerNodeCapacityEnforced) {
 }
 
 TEST(ShardedTest, StatsAggregateAcrossNodes) {
-  ShardedPool pool(PerNode(1000), 2);
-  DittoConfig config = LruLfu();
-  ShardedDittoServer server(&pool, config);
+  const ClusterConfig config = SmallCluster(2, 1000);
+  ClusterPool pool(config);
   rdma::ClientContext ctx(0);
-  ShardedDittoClient client(&pool, &ctx, config);
+  ClusterClient client(&pool, &ctx, config.ditto);
 
   for (int i = 0; i < 100; ++i) {
     client.Set("k" + std::to_string(i), "v");
@@ -117,27 +120,26 @@ TEST(ShardedTest, StatsAggregateAcrossNodes) {
 
 TEST(ShardedTest, AggregateNicScalesThroughput) {
   // The paper's single-MN Ditto is bounded by one RNIC's message rate;
-  // sharding the pool over more memory nodes must scale throughput.
+  // spreading the pool over more memory nodes must scale throughput.
   workload::YcsbConfig ycsb;
   ycsb.workload = 'C';
   ycsb.num_keys = 10000;
   const workload::Trace trace = workload::MakeYcsbTrace(ycsb, 60000, 1);
 
   const auto run_with_nodes = [&](int nodes) {
-    dm::PoolConfig per_node;
-    per_node.memory_bytes = 32 << 20;
-    per_node.num_buckets = 8192;
-    per_node.capacity_objects = 40000;
-    ShardedPool pool(per_node, nodes);
-    DittoConfig config;
-    config.experts = {"lru", "lfu"};
-    ShardedDittoServer server(&pool, config);
+    ClusterConfig config;
+    config.nodes = nodes;
+    config.pool.memory_bytes = 32 << 20;
+    config.pool.num_buckets = 8192;
+    config.pool.capacity_objects = 40000;
+    config.ditto.experts = {"lru", "lfu"};
+    ClusterPool pool(config);
 
     // Enough clients that aggregate demand (~ clients / 4.3us per Get)
     // clearly exceeds one NIC's ~13 Mops ceiling.
     constexpr int kClients = 128;
     std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-    std::vector<std::unique_ptr<sim::ShardedDittoCacheClient>> clients;
+    std::vector<std::unique_ptr<sim::ClusterCacheClient>> clients;
     std::vector<sim::CacheClient*> raw;
     std::vector<rdma::RemoteNode*> remote_nodes;
     for (int n = 0; n < nodes; ++n) {
@@ -146,7 +148,7 @@ TEST(ShardedTest, AggregateNicScalesThroughput) {
     for (int i = 0; i < kClients; ++i) {
       ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
       clients.push_back(
-          std::make_unique<sim::ShardedDittoCacheClient>(&pool, ctxs.back().get(), config));
+          std::make_unique<sim::ClusterCacheClient>(&pool, ctxs.back().get(), config.ditto));
       raw.push_back(clients.back().get());
     }
     // Preload so the measured phase has no misses.

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/ditto_client.h"
-#include "core/sharded_client.h"
 #include "dm/pool.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
@@ -84,55 +83,38 @@ TEST(WallClockTest, PipelinedRunTraceFillsWallFields) {
   ExpectWallFilled(r, /*expected_threads=*/1);
 }
 
-TEST(WallClockTest, RunTraceShardedReportsWorkerThreadCount) {
-  constexpr int kShards = 4;
+// RunTraceSharded over `num_shards` private memory nodes, one Ditto client
+// each, with `threads` requested workers.
+sim::RunResult RunSharded(int num_shards, int threads) {
   const core::DittoConfig config = LruLfu();
-  core::ShardedPool pool(SmallPool(), kShards);
+  std::vector<std::unique_ptr<dm::MemoryPool>> pools;
   std::vector<std::unique_ptr<core::DittoServer>> servers;
   std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
   std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
   std::vector<sim::CacheClient*> raw;
   std::vector<rdma::RemoteNode*> nodes;
-  for (int i = 0; i < kShards; ++i) {
-    servers.push_back(std::make_unique<core::DittoServer>(&pool.node(i), config));
+  for (int i = 0; i < num_shards; ++i) {
+    dm::MemoryPool* pool = pools.emplace_back(std::make_unique<dm::MemoryPool>(SmallPool())).get();
+    servers.push_back(std::make_unique<core::DittoServer>(pool, config));
     ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-    shards.push_back(
-        std::make_unique<sim::DittoCacheClient>(&pool.node(i), ctxs.back().get(), config));
+    shards.push_back(std::make_unique<sim::DittoCacheClient>(pool, ctxs.back().get(), config));
     raw.push_back(shards.back().get());
-    nodes.push_back(&pool.node(i).node());
+    nodes.push_back(&pool->node());
   }
-
   sim::RunOptions options;
-  options.threads = 2;
+  options.threads = threads;
   options.partition_seed = 42;
-  const sim::RunResult r = sim::RunTraceSharded(raw, SmallTrace(), nodes, options);
+  return sim::RunTraceSharded(raw, SmallTrace(), nodes, options);
+}
+
+TEST(WallClockTest, RunTraceShardedReportsWorkerThreadCount) {
   // Workers driving the shards: min(options.threads, num_shards).
-  ExpectWallFilled(r, /*expected_threads=*/2);
+  ExpectWallFilled(RunSharded(/*num_shards=*/4, /*threads=*/2), /*expected_threads=*/2);
 }
 
 TEST(WallClockTest, RunTraceShardedClampsThreadsToShardCount) {
-  constexpr int kShards = 2;
-  const core::DittoConfig config = LruLfu();
-  core::ShardedPool pool(SmallPool(), kShards);
-  std::vector<std::unique_ptr<core::DittoServer>> servers;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
-  std::vector<sim::CacheClient*> raw;
-  std::vector<rdma::RemoteNode*> nodes;
-  for (int i = 0; i < kShards; ++i) {
-    servers.push_back(std::make_unique<core::DittoServer>(&pool.node(i), config));
-    ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-    shards.push_back(
-        std::make_unique<sim::DittoCacheClient>(&pool.node(i), ctxs.back().get(), config));
-    raw.push_back(shards.back().get());
-    nodes.push_back(&pool.node(i).node());
-  }
-
-  sim::RunOptions options;
-  options.threads = 8;  // more workers than shards: only kShards can run
-  options.partition_seed = 42;
-  const sim::RunResult r = sim::RunTraceSharded(raw, SmallTrace(), nodes, options);
-  ExpectWallFilled(r, /*expected_threads=*/kShards);
+  // More workers than shards: only the 2 shards can run.
+  ExpectWallFilled(RunSharded(/*num_shards=*/2, /*threads=*/8), /*expected_threads=*/2);
 }
 
 TEST(WallClockTest, RunTraceContendedReportsOneThreadPerClient) {
