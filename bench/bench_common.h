@@ -155,12 +155,11 @@ inline DittoDeployment MakeDitto(const dm::PoolConfig& pool_config,
   return d;
 }
 
-// A sharded-engine deployment for sim::RunTraceSharded: one memory node,
+// A deployment for kPartitioned replay (sim::RunTrace): one memory node,
 // server, context, and Ditto client per shard, so every shard's cache state
 // (and virtual-time accounting) is private to the worker thread driving it.
-// Every client is bound directly to its node; RunTraceSharded's dispatcher
-// routes requests with sim::ShardForKey(options.partition_seed), so the
-// shard count has no ring bound.
+// Every client is bound directly to its node; the engine routes requests
+// with sim::ShardForKey, so the shard count has no ring bound.
 struct ShardedEngineDeployment {
   std::vector<std::unique_ptr<dm::MemoryPool>> pools;
   std::vector<std::unique_ptr<core::DittoServer>> servers;

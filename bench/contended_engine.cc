@@ -7,7 +7,8 @@
 //      allocation style (one heap std::string key per request) vs the
 //      allocation-free runner path. Identical access order, so hit rates are
 //      equal; the wall_mops ratio isolates the hot-path win.
-//   2. --clients x --overlap sweep through sim::RunTraceContended: overlap
+//   2. --clients x --overlap sweep through sim::RunTrace with one host thread
+//      per client over one shared pool (kShared placement): overlap
 //      1.0 = all clients replay one shared key window (maximum racing),
 //      0.0 = disjoint windows (contention only via shared freelists and
 //      global counters). Window sizes shrink as overlap falls so the
@@ -84,7 +85,7 @@ sim::RunResult ReplayAllocString(sim::CacheClient* client, const workload::Trace
 // window [start_c, start_c + W) with start_c = c*(1-overlap)*W, and W chosen
 // so the last window ends at `keys` — the aggregate footprint stays ~constant
 // across overlap levels while the shared fraction of any two windows is
-// `overlap`. Request i belongs to client i % n (the contended engine's
+// `overlap`. Request i belongs to client i % n (kShared replay's
 // striding), so its key is folded into that client's window.
 workload::Trace RemapForOverlap(const workload::Trace& trace, uint64_t keys, int clients,
                                 double overlap) {
@@ -211,10 +212,10 @@ int main(int argc, char** argv) {
       sim::RunOptions options;
       options.value_bytes = 128;
       options.warmup_fraction = 0.2;
+      options.threads = clients;
       // The engine measures wall time over the measured region only (warmup
       // excluded), consistent with every other bench's wall_mops.
-      const sim::RunResult r =
-          sim::RunTraceContended(d.raw, contended, {&d.pool->node()}, options);
+      const sim::RunResult r = sim::RunTrace(d.raw, contended, {&d.pool->node()}, options);
       std::printf("%-8d %8.2f %12.3f %12.3f %8.2f %14llu %14llu\n", clients, overlap,
                   r.wall_mops, r.throughput_mops, r.hit_rate * 100.0,
                   static_cast<unsigned long long>(r.cas_failures),

@@ -1,5 +1,5 @@
-// Concurrent sharded engine on YCSB: sweeps host thread counts and doorbell
-// batch sizes over a key-partitioned multi-node Ditto deployment, printing
+// Key-partitioned replay on YCSB: sweeps host thread counts and doorbell
+// batch sizes over a kPartitioned multi-node Ditto deployment, printing
 // throughput, hit rate, and modeled wire traffic. Hit rates are identical
 // for every --threads value (shard state is thread-private); batched runs
 // put strictly fewer messages on the wire whenever hot keys repeat inside
@@ -12,7 +12,7 @@
 //   --shards=N          memory nodes / shards         (default 8)
 //   --threads=LIST      comma-free sweep handled below; single int
 //   --batch_ops=N       doorbell chain length, 0=off  (default 0)
-//   --seed=N            partition + trace seed        (default 42)
+//   --seed=N            trace seed                    (default 42)
 #include <cstdio>
 
 #include "bench_common.h"
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const size_t batch_ops = flags.GetInt("batch_ops", 0);
   const std::string workload = flags.GetString("workload", "A");
 
-  bench::PrintHeader("sharded-engine", "concurrent sharded replay: threads x batching sweep");
+  bench::PrintHeader("sharded-engine", "key-partitioned replay: threads x batching sweep");
 
   workload::YcsbConfig ycsb;
   ycsb.workload = workload.empty() ? 'A' : workload[0];
@@ -61,11 +61,11 @@ int main(int argc, char** argv) {
       bench::ShardedEngineDeployment d =
           bench::MakeShardedEngine(bench::MakePoolConfig(capacity_per_node), config, shards);
       sim::RunOptions options;
+      options.placement = sim::Placement::kPartitioned;
       options.threads = threads;
-      options.partition_seed = seed;
       options.batch_ops = batch;
       options.warmup_fraction = 0.2;
-      const sim::RunResult r = sim::RunTraceSharded(d.raw, trace, d.nodes, options);
+      const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
       std::printf("%-8d %10zu %12.3f %12.3f %12.3f %10.2f %14llu %14llu\n", threads, batch,
                   r.throughput_mops, r.wall_mops, r.ops_per_core_mops, r.hit_rate * 100.0,
                   static_cast<unsigned long long>(r.nic_messages),

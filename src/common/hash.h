@@ -63,10 +63,10 @@ inline uint64_t ChecksumBytes(const void* data, size_t len) {
 
 // Seeded partition of a 64-bit key or hash into n buckets. The single mixing
 // formula shared by the cluster ring's primary placement (core::RingEpoch,
-// over string-key hashes, fixed seed 1), the Redis cluster model, and the
-// concurrent runner's sim::ShardForKey (over raw integer trace keys); note
-// the call sites hash different domains, so their partitions are not
-// interchangeable even at the same seed.
+// over string-key hashes, fixed seed 1), the Redis cluster model (seed from
+// its config), and kPartitioned replay's sim::ShardForKey (over raw integer
+// trace keys, fixed seed 1); note the call sites hash different domains, so
+// their partitions are not interchangeable even at the same seed.
 constexpr uint32_t SeededPartition(uint64_t h, size_t n, uint64_t seed) {
   return static_cast<uint32_t>(Mix64(h ^ (seed * 0x9e3779b97f4a7c15ULL)) % n);
 }

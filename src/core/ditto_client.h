@@ -57,9 +57,9 @@ struct DittoConfig {
   // Contended-deployment switch: after publishing an insert, re-read the
   // bucket and reclaim racing duplicate copies of the key (RACE-hashing
   // style; +1 READ per insert). Required whenever multiple clients share one
-  // pool with overlapping keys (RunTraceContended deployments). Off by
-  // default so the single-writer-per-key engines keep the paper's insert
-  // verb budget — duplicate races are structurally impossible there.
+  // pool with overlapping keys (kShared replay on several threads). Off by
+  // default so single-writer-per-key replays keep the paper's insert verb
+  // budget — duplicate races are structurally impossible there.
   bool validate_inserts = false;
 
   bool adaptive() const { return experts.size() > 1; }
@@ -308,8 +308,8 @@ class DittoClient {
 
   DittoStats stats_;
   // Per-op scratch, reused across ops so the hot path allocates nothing once
-  // warm (the client is single-threaded; see RunTraceContended for the
-  // one-client-per-thread contract).
+  // warm (the client is single-threaded; see sim::RunTrace for the
+  // one-worker-per-client contract).
   std::vector<ht::SlotView> bucket_buf_;
   std::vector<ht::SlotView> sample_buf_;
   std::vector<ht::SlotView> dedup_buf_;

@@ -13,7 +13,7 @@
 // per-run-length lock-free freelists that live in remote memory.
 //
 // Thread safety: a MemoryPool may be shared by concurrent client threads
-// (one ClientContext per thread), as the concurrent sharded engine and
+// (one ClientContext per thread), as multi-threaded sim::RunTrace and
 // multi-threaded ClusterClient deployments require. The arena is an
 // array of atomic cells, segment allocation is serialized by alloc_mu_, RPC
 // dispatch by the node's handler mutex, and all counters are atomics; this

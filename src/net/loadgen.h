@@ -2,7 +2,7 @@
 // workload::Trace against a running front end over real sockets.
 //
 // Connection c replays the strided sub-stream c, c+C, c+2C, ... of the
-// trace (the contended engine's client split), keeping up to `depth`
+// trace (kShared replay's client split), keeping up to `depth`
 // commands in flight per connection. Trace ops map onto the protocol the
 // server speaks: kGet/kMultiGet -> GET (a nil reply re-inserts the key with
 // SET when set_on_miss, mirroring sim::RunTrace's miss policy),

@@ -59,7 +59,8 @@ class Server {
  public:
   // One CacheClient per reactor; clients.size() is the reactor count. The
   // clients must share one deployment (pool + server) when there is more
-  // than one of them, exactly like RunTraceContended's clients.
+  // than one of them, exactly like the clients of a multi-threaded kShared
+  // sim::RunTrace.
   Server(std::vector<sim::CacheClient*> clients, const ServerOptions& options);
   ~Server();
 

@@ -48,8 +48,8 @@ struct ClientCounters {
   uint64_t expired = 0;  // objects reclaimed by lazy TTL expiry on lookup
   // Contention counters: CASes lost to concurrent clients of one shared pool
   // and insert claim rounds repeated after such races. Zero for clients that
-  // never share mutable state (the key-partitioned sharded engine) and for
-  // baselines without a CAS-based insert path.
+  // never share mutable state (kPartitioned replay) and for baselines without
+  // a CAS-based insert path.
   uint64_t cas_failures = 0;
   uint64_t insert_retries = 0;
 };

@@ -1,12 +1,12 @@
 // Precise-LRU oracle replays for elastic-scaling comparisons: the same
-// resize schedule the replay engines apply (see RunOptions::resize_schedule)
+// resize schedule the replay engine applies (see RunOptions::resize_schedule)
 // is replayed through an exact LRU cache that either survives each step warm
 // (PreciseCache::Resize — the best a warm cache can do) or COLD-RESTARTS at
 // every step (the monolithic-cluster behaviour, where a scale event rebuilds
 // the node set and the cache starts empty). Thresholds come from the
 // runner's own NormalizedResizeSchedule/ResizeStepIndex, so the oracle
-// crosses phases at the identical request indices as RunTrace /
-// RunTraceSharded — the bench columns and the tests' drop comparisons stay
+// crosses phases at the identical request indices as sim::RunTrace under
+// either placement — the bench columns and the tests' drop comparisons stay
 // aligned by construction.
 #ifndef DITTO_SIM_ELASTIC_ORACLE_H_
 #define DITTO_SIM_ELASTIC_ORACLE_H_

@@ -1,7 +1,6 @@
 #include "sim/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -12,7 +11,6 @@
 #include "common/small_vec.h"
 #include "dm/pool.h"
 #include "rdma/verbs.h"
-#include "sim/spsc_queue.h"
 
 namespace ditto::sim {
 
@@ -67,7 +65,7 @@ ResolvedSchedule ResolveSchedule(const RunOptions& options, size_t begin, size_t
   return schedule;
 }
 
-// Windowed Get-outcome sampler shared by every dispatcher of one interleaved
+// Windowed Get-outcome sampler shared by every dispatcher of a one-worker
 // replay (single host thread, so plain counters suffice). Closes a
 // RecoverySample every window_ops Get outcomes in dispatch order, giving the
 // fine-grained hit-rate trajectory lifecycle experiments plot.
@@ -178,12 +176,11 @@ class OpDispatcher {
  public:
   // schedule may be null (no resize steps, single-phase accounting). When
   // split_capacity is set each step applies CapacityShare(total, owner,
-  // num_owners) — the sharded engine's private-cache split; otherwise the
+  // num_owners) — the kPartitioned private-cache split; otherwise the
   // aggregate is applied as-is (shared-state clients apply it idempotently).
   OpDispatcher(CacheClient* client, const workload::Trace& trace, const RunOptions& options,
-               const std::string& value, const ResolvedSchedule* schedule = nullptr,
-               size_t owner = 0, size_t num_owners = 1, bool split_capacity = false,
-               RecoveryAccumulator* recovery = nullptr)
+               const std::string& value, const ResolvedSchedule* schedule, size_t owner,
+               size_t num_owners, bool split_capacity, RecoveryAccumulator* recovery)
       : client_(client),
         trace_(trace),
         options_(options),
@@ -198,8 +195,8 @@ class OpDispatcher {
         phases_(schedule != nullptr ? schedule->num_phases() : 1) {}
 
   // ditto-lint: hot-path-begin(op-dispatch)
-  // Dispatch and its helpers run once per trace request in every engine's
-  // replay loop; steady-state execution must not allocate (PR 4's invariant).
+  // Dispatch and its helpers run once per trace request of the replay loop;
+  // steady-state execution must not allocate.
   void Dispatch(uint32_t index) {
     AdvancePhase(index);
     const workload::Request& req = trace_[index];
@@ -347,7 +344,7 @@ class OpDispatcher {
     }
     // Lifecycle steps fire the same way resizes do: when this owner's private
     // stream crosses the step index. Every client calls ApplyLifecycle (so
-    // the engines need no cross-thread coordination here); cluster clients
+    // the workers need no cross-thread coordination here); cluster clients
     // make the application itself global-once.
     const size_t lifecycle_target = schedule_->LifecycleCountAt(index);
     while (lifecycle_applied_ < lifecycle_target) {
@@ -406,62 +403,105 @@ void FinalizePhases(const ResolvedSchedule& schedule, std::vector<PhaseResult>* 
   }
 }
 
-// Replays [begin, end) of the trace: client c owns the strided shard
-// begin+c, begin+c+n, ... and the clients' progress is interleaved with the
-// same deterministic burst model as workload::InterleaveClients, which
-// stands in for unsynchronized concurrent execution. Replaying in one host
-// thread keeps the merged access order (and thus hit rates) deterministic;
-// timing is virtual, so throughput numbers are unaffected by host
-// scheduling.
-void ReplayInterleaved(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
-                       size_t begin, size_t end, const RunOptions& options,
-                       const ResolvedSchedule* schedule = nullptr,
-                       std::vector<PhaseResult>* phases_out = nullptr,
-                       RecoveryAccumulator* recovery = nullptr) {
-  const size_t n = clients.size();
-  const std::string value(std::max(options.value_bytes, options.value_bytes_max), 'v');
-  std::vector<size_t> cursor(n);
-  std::vector<OpDispatcher> dispatch;
-  dispatch.reserve(n);
-  std::vector<int> live;
-  for (size_t c = 0; c < n; ++c) {
-    cursor[c] = begin + c;
-    // Interleaved clients share one deployment, so each applies the
-    // aggregate capacity (idempotent on the shared server state). The
-    // recovery accumulator is shared too: the engine runs on one host
-    // thread, so windows follow the merged dispatch order.
-    dispatch.emplace_back(clients[c], trace, options, value, schedule, c, n,
-                          /*split_capacity=*/false, recovery);
-    if (cursor[c] < end) {
-      live.push_back(static_cast<int>(c));
+// Routes trace[begin, end) into one index stream per client: the strided
+// stream begin+c, begin+c+n, ... under kShared, the keys ShardForKey maps to
+// c (in trace order) under kPartitioned.
+std::vector<std::vector<uint32_t>> RouteStreams(const workload::Trace& trace, size_t begin,
+                                                size_t end, size_t n, Placement placement) {
+  std::vector<std::vector<uint32_t>> streams(n);
+  for (size_t i = begin; i < end; ++i) {
+    const size_t c =
+        placement == Placement::kShared ? (i - begin) % n : ShardForKey(trace[i].key, n);
+    streams[c].push_back(static_cast<uint32_t>(i));
+  }
+  return streams;
+}
+
+// One client of a replay: its routed stream, its position in it, and the
+// dispatcher carrying its fusion, phase and pipeline state.
+struct Owner {
+  OpDispatcher dispatch;
+  std::vector<uint32_t> stream;
+  size_t next = 0;
+};
+
+// Drives owners t, t+T, ... on the calling thread. Their progress is
+// interleaved with the same deterministic burst model as
+// workload::InterleaveClients, which stands in for unsynchronized concurrent
+// execution; each owner's own stream always replays in order.
+void DriveOwners(const std::vector<std::unique_ptr<Owner>>& owners, size_t t, size_t workers,
+                 uint64_t seed) {
+  std::vector<Owner*> live;
+  for (size_t c = t; c < owners.size(); c += workers) {
+    if (!owners[c]->stream.empty()) {
+      live.push_back(owners[c].get());
     }
   }
-  Rng rng(0x9e3779b9 + end);
+  Rng rng(seed);
   while (!live.empty()) {
     const size_t pick = rng.NextBelow(live.size());
-    const int c = live[pick];
+    Owner* owner = live[pick];
     const uint64_t burst = 1 + rng.NextBelow(8);
-    for (uint64_t b = 0; b < burst && cursor[c] < end; ++b) {
-      dispatch[c].Dispatch(static_cast<uint32_t>(cursor[c]));
-      cursor[c] += n;
+    for (uint64_t b = 0; b < burst && owner->next < owner->stream.size(); ++b) {
+      owner->dispatch.Dispatch(owner->stream[owner->next++]);
     }
-    if (static_cast<size_t>(cursor[c]) >= end) {
-      dispatch[c].Flush();
+    if (owner->next == owner->stream.size()) {
+      owner->dispatch.Flush();
       live[pick] = live.back();
       live.pop_back();
     }
   }
-  for (const OpDispatcher& d : dispatch) {
-    MergePhases(d.phases(), phases_out);
+}
+
+// One phase (warmup or measurement) of the replay over trace[begin, end) with
+// `workers` host workers: worker 0 runs on the calling thread with seed
+// 0x9e3779b9 + end, worker t on its own thread. Owner state is touched only
+// by its worker, so nothing here needs locking; only the clients' shared
+// deployment (if any) sees concurrent access. Returns each owner's op count.
+std::vector<uint64_t> Replay(const std::vector<CacheClient*>& clients,
+                             const workload::Trace& trace, size_t begin, size_t end,
+                             const RunOptions& options, size_t workers,
+                             const ResolvedSchedule* schedule = nullptr,
+                             std::vector<PhaseResult>* phases_out = nullptr,
+                             RecoveryAccumulator* recovery = nullptr) {
+  const size_t n = clients.size();
+  const std::string value(std::max(options.value_bytes, options.value_bytes_max), 'v');
+  std::vector<std::vector<uint32_t>> streams =
+      RouteStreams(trace, begin, end, n, options.placement);
+  // Under kPartitioned each client is an independent cache and applies its
+  // even share of a resize step; under kShared the clients share one
+  // deployment and each applies the aggregate (idempotent on shared state).
+  const bool split_capacity = options.placement == Placement::kPartitioned;
+  std::vector<std::unique_ptr<Owner>> owners;
+  owners.reserve(n);
+  for (size_t c = 0; c < n; ++c) {
+    owners.push_back(std::make_unique<Owner>(
+        Owner{OpDispatcher(clients[c], trace, options, value, schedule, c, n, split_capacity,
+                           recovery),
+              std::move(streams[c])}));
   }
-  if (recovery != nullptr) {
-    recovery->Finish();
+  const uint64_t seed = 0x9e3779b9 + end;
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (size_t t = 1; t < workers; ++t) {
+    threads.emplace_back([&owners, t, workers, seed] {
+      DriveOwners(owners, t, workers, seed + t);
+    });
   }
+  DriveOwners(owners, 0, workers, seed);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::vector<uint64_t> ops(n);
+  for (size_t c = 0; c < n; ++c) {
+    MergePhases(owners[c]->dispatch.phases(), phases_out);
+    ops[c] = owners[c]->stream.size();
+  }
+  return ops;
 }
 
 // Snapshot of per-client busy time and per-node horizons taken at the
-// warmup/measurement boundary; shared by the interleaved and the sharded
-// engine.
+// warmup/measurement boundary.
 struct MeasureBaseline {
   std::vector<uint64_t> busy_before;
   std::vector<uint64_t> nic_before;
@@ -491,6 +531,24 @@ MeasureBaseline BeginMeasurement(const std::vector<CacheClient*>& clients,
   return base;
 }
 
+// Adds one client's counters into a result's counter fields.
+void AddCounters(const ClientCounters& counters, RunResult* result) {
+  result->gets += counters.gets;
+  result->hits += counters.hits;
+  result->misses += counters.misses;
+  result->sets += counters.sets;
+  result->deletes += counters.deletes;
+  result->evictions += counters.evictions;
+  result->expired += counters.expired;
+  result->cas_failures += counters.cas_failures;
+  result->insert_retries += counters.insert_retries;
+}
+
+double HitRate(const RunResult& result) {
+  return result.gets == 0 ? 0.0
+                          : static_cast<double>(result.hits) / static_cast<double>(result.gets);
+}
+
 RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
                             const std::vector<rdma::RemoteNode*>& nodes,
                             const MeasureBaseline& base, uint64_t measured_ops) {
@@ -498,16 +556,7 @@ RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
   Histogram merged;
   uint64_t sum_busy_delta = 0;
   for (size_t c = 0; c < clients.size(); ++c) {
-    const ClientCounters counters = clients[c]->counters();
-    result.gets += counters.gets;
-    result.hits += counters.hits;
-    result.misses += counters.misses;
-    result.sets += counters.sets;
-    result.deletes += counters.deletes;
-    result.evictions += counters.evictions;
-    result.expired += counters.expired;
-    result.cas_failures += counters.cas_failures;
-    result.insert_retries += counters.insert_retries;
+    AddCounters(clients[c]->counters(), &result);
     merged.Merge(clients[c]->ctx().op_hist());
     sum_busy_delta += clients[c]->ctx().clock().busy_ns() - base.busy_before[c];
   }
@@ -531,9 +580,7 @@ RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
   }
   result.elapsed_s = static_cast<double>(elapsed_ns) / 1e9;
   result.throughput_mops = static_cast<double>(result.ops) / (result.elapsed_s * 1e6);
-  result.hit_rate = result.gets == 0
-                        ? 0.0
-                        : static_cast<double>(result.hits) / static_cast<double>(result.gets);
+  result.hit_rate = HitRate(result);
   result.p50_us = merged.PercentileUs(50);
   result.p99_us = merged.PercentileUs(99);
   result.nic_messages = nic_msgs_after - base.nic_msgs_before;
@@ -542,7 +589,7 @@ RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
   return result;
 }
 
-// Host wall-clock timing of the measured region. Every engine brackets its
+// Host wall-clock timing of the measured region. The driver brackets the
 // measured replay (including the Finish() drain) with a WallBegin/FillWall
 // pair; the quotient is the real host replay rate, as opposed to the
 // virtual-time throughput FinishMeasurement derives from the network model.
@@ -560,127 +607,18 @@ void FillWall(RunResult* result, WallPoint begin, int threads) {
   result->ops_per_core_mops = result->wall_mops / static_cast<double>(result->threads);
 }
 
-// One phase (warmup or measurement) of the concurrent sharded engine: a
-// dispatcher (the calling thread) routes trace[begin, end) to per-shard SPSC
-// queues by seeded key hash; worker t drains the queues of shards t, t+T,
-// t+2T, ... Each shard's requests execute in trace order on its dedicated
-// worker, so per-shard behaviour cannot depend on the thread count.
-void ReplaySharded(const std::vector<CacheClient*>& shards, const workload::Trace& trace,
-                   size_t begin, size_t end, const RunOptions& options,
-                   const ResolvedSchedule* schedule = nullptr,
-                   std::vector<PhaseResult>* phases_out = nullptr) {
-  const size_t num_shards = shards.size();
-  const int num_workers =
-      std::max(1, std::min<int>(options.threads, static_cast<int>(num_shards)));
-  const std::string value(std::max(options.value_bytes, options.value_bytes_max), 'v');
-
-  std::vector<std::unique_ptr<SpscQueue<uint32_t>>> queues;
-  queues.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    queues.push_back(std::make_unique<SpscQueue<uint32_t>>(1024));
-  }
-  std::atomic<bool> dispatch_done{false};
-
-  // One fusion/phase accumulator per shard: fusion, resize, and phase state
-  // follow the shard's private stream, never the worker's drain schedule, so
-  // the replay (and the phase trajectory merged below) is identical for any
-  // thread count. Shard s is touched only by worker s % num_workers, so the
-  // shared vector needs no locking; each shard applies its even share of the
-  // schedule's aggregate capacity (the shards are independent caches).
-  std::vector<std::unique_ptr<OpDispatcher>> dispatch(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    dispatch[s] = std::make_unique<OpDispatcher>(shards[s], trace, options, value, schedule,
-                                                 s, num_shards, /*split_capacity=*/true);
-  }
-
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
-  for (int t = 0; t < num_workers; ++t) {
-    workers.emplace_back([&, t] {
-      constexpr int kDrainBurst = 64;
-      while (true) {
-        bool made_progress = false;
-        for (size_t s = static_cast<size_t>(t); s < num_shards;
-             s += static_cast<size_t>(num_workers)) {
-          uint32_t idx;
-          for (int n = 0; n < kDrainBurst && queues[s]->TryPop(&idx); ++n) {
-            dispatch[s]->Dispatch(idx);
-            made_progress = true;
-          }
-        }
-        if (made_progress) {
-          continue;
-        }
-        if (dispatch_done.load(std::memory_order_acquire)) {
-          bool drained = true;
-          for (size_t s = static_cast<size_t>(t); s < num_shards;
-               s += static_cast<size_t>(num_workers)) {
-            drained = drained && queues[s]->Empty();
-          }
-          if (drained) {
-            for (size_t s = static_cast<size_t>(t); s < num_shards;
-                 s += static_cast<size_t>(num_workers)) {
-              dispatch[s]->Flush();
-            }
-            return;
-          }
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-
-  for (size_t i = begin; i < end; ++i) {
-    const uint32_t s = ShardForKey(trace[i].key, num_shards, options.partition_seed);
-    while (!queues[s]->TryPush(static_cast<uint32_t>(i))) {
-      std::this_thread::yield();
-    }
-  }
-  dispatch_done.store(true, std::memory_order_release);
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  for (const auto& d : dispatch) {
-    MergePhases(d->phases(), phases_out);
-  }
-}
-
-// One phase (warmup or measurement) of the contended engine: client c replays
-// the strided sub-stream begin+c, begin+c+n, ... on its own host thread. No
-// key partitioning — threads race on whatever slots their requests share, so
-// CAS conflicts, duplicate-insert resolution, and eviction/victim races all
-// run their real concurrent paths. Dispatcher state stays thread-private; only
-// the pool (arena, freelists, superblock) is shared.
-void ReplayContended(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
-                     size_t begin, size_t end, const RunOptions& options,
-                     const ResolvedSchedule* schedule = nullptr,
-                     std::vector<PhaseResult>* phases_out = nullptr) {
-  const size_t n = clients.size();
-  const std::string value(std::max(options.value_bytes, options.value_bytes_max), 'v');
-  std::vector<std::unique_ptr<OpDispatcher>> dispatch(n);
-  for (size_t c = 0; c < n; ++c) {
-    // Contended clients share one deployment, so each applies the schedule's
-    // aggregate capacity (idempotent on the shared superblock).
-    dispatch[c] = std::make_unique<OpDispatcher>(clients[c], trace, options, value, schedule,
-                                                 c, n, /*split_capacity=*/false);
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t c = 0; c < n; ++c) {
-    threads.emplace_back([&, c] {
-      for (size_t i = begin + c; i < end; i += n) {
-        dispatch[c]->Dispatch(static_cast<uint32_t>(i));
-      }
-      dispatch[c]->Flush();
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  for (const auto& d : dispatch) {
-    MergePhases(d->phases(), phases_out);
-  }
+// One row of RunTrace's per_client output.
+RunResult ClientRow(CacheClient* client, uint64_t busy_before, uint64_t ops) {
+  RunResult r;
+  AddCounters(client->counters(), &r);
+  r.ops = ops;
+  const uint64_t busy_delta = client->ctx().clock().busy_ns() - busy_before;
+  r.elapsed_s = static_cast<double>(std::max(busy_delta, uint64_t{1})) / 1e9;
+  r.throughput_mops = static_cast<double>(r.ops) / (r.elapsed_s * 1e6);
+  r.hit_rate = HitRate(r);
+  r.p50_us = client->ctx().op_hist().PercentileUs(50);
+  r.p99_us = client->ctx().op_hist().PercentileUs(99);
+  return r;
 }
 
 }  // namespace
@@ -711,8 +649,8 @@ std::vector<LifecycleStep> NormalizedLifecycleSchedule(std::vector<LifecycleStep
   return schedule;
 }
 
-uint32_t ShardForKey(uint64_t key, size_t num_shards, uint64_t seed) {
-  return SeededPartition(key, num_shards, seed);
+uint32_t ShardForKey(uint64_t key, size_t num_shards) {
+  return SeededPartition(key, num_shards, /*seed=*/1);
 }
 
 RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
@@ -721,7 +659,10 @@ RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Tra
 }
 
 RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
-                   const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options) {
+                   const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options,
+                   std::vector<RunResult>* per_client) {
+  const size_t workers = std::min<size_t>(std::max(options.threads, 1),
+                                          std::max<size_t>(clients.size(), 1));
   for (CacheClient* client : clients) {
     client->SetBatchOps(options.batch_ops);
   }
@@ -730,7 +671,7 @@ RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Tra
   if (options.warmup_fraction > 0.0) {
     measure_begin =
         static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));
-    ReplayInterleaved(clients, trace, 0, measure_begin, options);
+    Replay(clients, trace, 0, measure_begin, options, workers);
     for (CacheClient* client : clients) {
       // Drain doorbell chains pending from warmup so their deferred costs
       // are charged before the measurement baseline is snapshotted.
@@ -743,119 +684,26 @@ RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Tra
   const WallPoint wall_begin = WallBegin();
   std::vector<PhaseResult> phases;
   std::vector<RecoverySample> recovery_samples;
-  RecoveryAccumulator recovery;
-  recovery.window_ops = options.recovery_window_ops;
-  recovery.out = &recovery_samples;
-  ReplayInterleaved(clients, trace, measure_begin, trace.size(), options, &schedule, &phases,
-                    options.recovery_window_ops > 0 ? &recovery : nullptr);
+  RecoveryAccumulator recovery{options.recovery_window_ops, &recovery_samples, {}};
+  // Windows follow one worker's replay order; several workers have none.
+  const bool sample_recovery = workers == 1 && options.recovery_window_ops > 0;
+  const std::vector<uint64_t> client_ops =
+      Replay(clients, trace, measure_begin, trace.size(), options, workers, &schedule, &phases,
+             sample_recovery ? &recovery : nullptr);
+  recovery.Finish();
   for (CacheClient* client : clients) {
     client->Finish();
   }
   RunResult result = FinishMeasurement(clients, nodes, base, trace.size() - measure_begin);
-  // The interleaved engine (and thus pipelined replay) runs on one host
-  // thread regardless of the client count.
-  FillWall(&result, wall_begin, /*threads=*/1);
+  FillWall(&result, wall_begin, static_cast<int>(workers));
   FinalizePhases(schedule, &phases);
   result.phases = std::move(phases);
   result.recovery = std::move(recovery_samples);
-  return result;
-}
-
-RunResult RunTraceSharded(const std::vector<CacheClient*>& shards, const workload::Trace& trace,
-                          const std::vector<rdma::RemoteNode*>& nodes,
-                          const RunOptions& options) {
-  for (CacheClient* shard : shards) {
-    shard->SetBatchOps(options.batch_ops);
-  }
-
-  size_t measure_begin = 0;
-  if (options.warmup_fraction > 0.0) {
-    measure_begin =
-        static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));
-    ReplaySharded(shards, trace, 0, measure_begin, options);
-    for (CacheClient* shard : shards) {
-      // Drain doorbell chains pending from warmup so their deferred costs
-      // are charged before the measurement baseline is snapshotted.
-      shard->SetBatchOps(options.batch_ops);
-    }
-  }
-
-  const ResolvedSchedule schedule = ResolveSchedule(options, measure_begin, trace.size());
-  const MeasureBaseline base = BeginMeasurement(shards, nodes);
-  const WallPoint wall_begin = WallBegin();
-  std::vector<PhaseResult> phases;
-  ReplaySharded(shards, trace, measure_begin, trace.size(), options, &schedule, &phases);
-  for (CacheClient* shard : shards) {
-    shard->Finish();
-  }
-  RunResult result = FinishMeasurement(shards, nodes, base, trace.size() - measure_begin);
-  FillWall(&result, wall_begin,
-           std::max(1, std::min<int>(options.threads, static_cast<int>(shards.size()))));
-  FinalizePhases(schedule, &phases);
-  result.phases = std::move(phases);
-  return result;
-}
-
-RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
-                            const workload::Trace& trace,
-                            const std::vector<rdma::RemoteNode*>& nodes,
-                            const RunOptions& options,
-                            std::vector<RunResult>* per_client) {
-  for (CacheClient* client : clients) {
-    client->SetBatchOps(options.batch_ops);
-  }
-
-  size_t measure_begin = 0;
-  if (options.warmup_fraction > 0.0) {
-    measure_begin =
-        static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));
-    ReplayContended(clients, trace, 0, measure_begin, options);
-    for (CacheClient* client : clients) {
-      // Drain doorbell chains pending from warmup so their deferred costs
-      // are charged before the measurement baseline is snapshotted.
-      client->SetBatchOps(options.batch_ops);
-    }
-  }
-
-  const ResolvedSchedule schedule = ResolveSchedule(options, measure_begin, trace.size());
-  const MeasureBaseline base = BeginMeasurement(clients, nodes);
-  const WallPoint wall_begin = WallBegin();
-  std::vector<PhaseResult> phases;
-  ReplayContended(clients, trace, measure_begin, trace.size(), options, &schedule, &phases);
-  for (CacheClient* client : clients) {
-    client->Finish();
-  }
-  const size_t measured = trace.size() - measure_begin;
-  RunResult result = FinishMeasurement(clients, nodes, base, measured);
-  FillWall(&result, wall_begin, static_cast<int>(clients.size()));
-  FinalizePhases(schedule, &phases);
-  result.phases = std::move(phases);
 
   if (per_client != nullptr) {
     per_client->clear();
-    per_client->reserve(clients.size());
     for (size_t c = 0; c < clients.size(); ++c) {
-      RunResult r;
-      const ClientCounters counters = clients[c]->counters();
-      r.gets = counters.gets;
-      r.hits = counters.hits;
-      r.misses = counters.misses;
-      r.sets = counters.sets;
-      r.deletes = counters.deletes;
-      r.evictions = counters.evictions;
-      r.expired = counters.expired;
-      r.cas_failures = counters.cas_failures;
-      r.insert_retries = counters.insert_retries;
-      r.ops = measured / clients.size() + (c < measured % clients.size() ? 1 : 0);
-      const uint64_t busy_delta = clients[c]->ctx().clock().busy_ns() - base.busy_before[c];
-      r.elapsed_s = static_cast<double>(std::max(busy_delta, uint64_t{1})) / 1e9;
-      r.throughput_mops = static_cast<double>(r.ops) / (r.elapsed_s * 1e6);
-      r.hit_rate = r.gets == 0
-                       ? 0.0
-                       : static_cast<double>(r.hits) / static_cast<double>(r.gets);
-      r.p50_us = clients[c]->ctx().op_hist().PercentileUs(50);
-      r.p99_us = clients[c]->ctx().op_hist().PercentileUs(99);
-      per_client->push_back(std::move(r));
+      per_client->push_back(ClientRow(clients[c], base.busy_before[c], client_ops[c]));
     }
   }
   return result;

@@ -1,6 +1,6 @@
 // Experiment runner: replays a workload trace against a set of cache clients
-// on real threads (one per client) and reports throughput / latency / hit
-// rate in virtual time.
+// on one or more host threads and reports throughput / latency / hit rate in
+// virtual time.
 //
 // Time accounting: every client accumulates busy time on its virtual clock;
 // the NIC and controller-CPU models advance their own FCFS horizons. The
@@ -25,14 +25,25 @@ namespace ditto::sim {
 
 // One step of a deterministic elastic-scaling schedule: when the replay
 // reaches request index `measure_begin + at_op_fraction * measured_ops`, the
-// cache's aggregate capacity becomes `capacity_objects`. Steps are applied
-// at identical request indices in RunTrace and RunTraceSharded; in the
-// sharded engine every shard applies its even share of the aggregate when
-// its own (thread-private) stream crosses the index, so the whole trajectory
-// is invariant to the thread count.
+// cache's aggregate capacity becomes `capacity_objects`. Every client applies
+// a step when its own stream crosses the index; under kPartitioned each
+// client applies its even share of the aggregate, so the whole trajectory is
+// invariant to the thread count.
 struct ResizeStep {
   double at_op_fraction = 0.0;   // in [0, 1), fraction of the measured replay
   uint64_t capacity_objects = 0; // aggregate capacity after the step
+};
+
+// How RunTrace splits the trace among its clients.
+enum class Placement {
+  // Client c replays the strided stream begin+c, begin+c+n, ... All clients
+  // see the whole key space, so clients backed by one deployment share (and,
+  // on several threads, race on) its slots.
+  kShared,
+  // Client s replays, in trace order, the requests whose key ShardForKey
+  // maps to s. Each client is meant to own a private cache (ideally its own
+  // memory node), so per-client results do not depend on the thread count.
+  kPartitioned,
 };
 
 struct RunOptions {
@@ -46,9 +57,11 @@ struct RunOptions {
   // Fraction of each client's shard replayed as warmup (not measured).
   double warmup_fraction = 0.0;
 
-  // Concurrent sharded engine (RunTraceSharded) knobs.
-  int threads = 1;               // host worker threads driving the shards
-  uint64_t partition_seed = 1;   // seeds the key -> shard partition
+  Placement placement = Placement::kShared;
+  // Host worker threads, clamped to [1, clients]. Worker t drives clients
+  // t, t+T, ... and interleaves them with a seeded burst model; worker 0 is
+  // the calling thread.
+  int threads = 1;
   // When > 0, every client doorbell-batches its async metadata verbs with a
   // chain of this many posts (duplicate addresses coalesce on the wire).
   size_t batch_ops = 0;
@@ -70,8 +83,8 @@ struct RunOptions {
 
   // Typed-op replay knobs. op_mix deterministically rewrites a fraction of
   // the trace's Gets into kDelete / kExpire / kMultiGet (a pure function of
-  // the request index, so every engine and thread count replays the same op
-  // stream). Consecutive kMultiGet requests of one client/shard fuse into a
+  // the request index, so every placement and thread count replays the same
+  // op stream). Consecutive kMultiGet requests of one client fuse into a
   // pipelined multi-get of up to multiget_batch keys; kExpire arms
   // expire_ttl_ticks of TTL.
   workload::OpMix op_mix;
@@ -89,16 +102,16 @@ struct RunOptions {
   // resize_schedule: when the measured replay crosses a step's index, every
   // client calls CacheClient::ApplyLifecycle (cluster deployments apply it
   // globally-once; other clients ignore it). Steps are sorted by
-  // at_op_fraction before use and applied at identical request indices in
-  // every engine, like resizes.
+  // at_op_fraction before use and applied at identical request indices
+  // under every placement, like resizes.
   std::vector<LifecycleStep> lifecycle_schedule;
 
   // When > 0, RunTrace samples the measured region's aggregate hit rate into
   // RunResult::recovery every recovery_window_ops Get outcomes — the
   // fine-grained trajectory fault/lifecycle experiments need to see hit-rate
   // collapse and recovery around a schedule step. Windows aggregate across
-  // all clients of the (single-host-thread) interleaved replay and are
-  // bit-deterministic; the concurrent engines ignore the knob.
+  // all clients in replay order and are bit-deterministic; they are sampled
+  // only when one worker drives the replay (ignored for threads > 1).
   size_t recovery_window_ops = 0;
 
   size_t ValueBytesFor(uint64_t key) const;
@@ -144,8 +157,7 @@ struct RunResult {
   uint64_t nic_doorbells = 0;
   uint64_t rpc_ops = 0;
   // Contention counters (see ClientCounters): nonzero only when clients race
-  // on shared slots, i.e. under RunTraceContended or multi-client RunTrace
-  // deployments sharing one pool.
+  // on shared slots, i.e. kShared replay on several threads over one pool.
   uint64_t cas_failures = 0;
   uint64_t insert_retries = 0;
   // Host wall-clock view of the measured region. The virtual-time fields
@@ -153,33 +165,49 @@ struct RunResult {
   // measure how fast the replay loop itself runs on the host, which is the
   // number that moves when the hot path gets faster. wall_s covers the
   // measured replay plus the Finish() drain; threads is the number of host
-  // threads that drove it (1 for RunTrace, the worker count for
-  // RunTraceSharded, the client count for RunTraceContended).
+  // workers that drove it (RunOptions::threads after clamping).
   double wall_s = 0.0;
   double wall_mops = 0.0;
   int threads = 1;
   double ops_per_core_mops = 0.0;  // wall_mops / threads
   // Hit-rate trajectory across the resize schedule (resize_schedule.size()+1
   // entries; a single entry covering the whole run when no schedule is set).
-  // Deterministic: identical for any RunTraceSharded thread count.
+  // Deterministic under kPartitioned for any thread count, and under
+  // kShared with one thread.
   std::vector<PhaseResult> phases;
-  // Windowed hit-rate trajectory of the measured region (RunTrace only,
-  // empty unless RunOptions::recovery_window_ops > 0). The final window may
-  // be short. Deterministic for a fixed (trace, options, fault seed).
+  // Windowed hit-rate trajectory of the measured region (empty unless
+  // RunOptions::recovery_window_ops > 0 and one worker drove the replay).
+  // The final window may be short. Deterministic for a fixed (trace,
+  // options, fault seed).
   std::vector<RecoverySample> recovery;
 };
 
-// Replays `trace` sharded round-robin over `clients`. `node` provides the
-// NIC/CPU horizons (the memory node the clients talk to).
+// Replays `trace` over `clients`, split by options.placement and driven by
+// options.threads host workers. `nodes` provide the NIC/CPU horizons that
+// bound the elapsed time (the memory nodes the clients talk to).
+//
+// Under kPartitioned, and under kShared with one thread, the replay order of
+// every client's stream is fixed, so a deployment whose clients own private
+// memory nodes reproduces the whole RunResult bit for bit, and hit rates
+// are identical for any thread count under kPartitioned. Under kShared
+// with several threads, clients backed by the SAME dm::MemoryPool (each
+// with its own ClientContext) race for real: slot CAS conflicts,
+// duplicate-insert resolution and eviction races take their concurrent
+// paths, and results are not bit-deterministic, though aggregate counters
+// are exact sums of what each client observed.
+//
+// `per_client`, when non-null, receives one RunResult per client: the length
+// of its measured stream as ops, its counters, hit rate, latency
+// percentiles, and its own busy time as elapsed_s.
+RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
+                   const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options,
+                   std::vector<RunResult>* per_client = nullptr);
+
+// Single-memory-node convenience overload.
 RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                    rdma::RemoteNode* node, const RunOptions& options);
 
-// Multi-memory-node variant: the elapsed-time bound uses every node's NIC
-// and controller-CPU horizon.
-RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
-                   const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options);
-
-// Normal form of a resize schedule as both replay engines apply it: steps
+// Normal form of a resize schedule as the replay engine applies it: steps
 // stably sorted by at_op_fraction with fractions clamped to [0, 1]. Oracle
 // replays (sim/elastic_oracle.h) use the same normal form so every consumer
 // crosses phases at identical request indices.
@@ -193,46 +221,9 @@ std::vector<LifecycleStep> NormalizedLifecycleSchedule(std::vector<LifecycleStep
 // region [begin, end).
 size_t ResizeStepIndex(double at_op_fraction, size_t begin, size_t end);
 
-// Deterministic seeded key -> shard partition of the concurrent engine.
-uint32_t ShardForKey(uint64_t key, size_t num_shards, uint64_t seed);
-
-// Concurrent sharded replay on real host threads. shards[s] owns key
-// partition s (ShardForKey with options.partition_seed) with shard-private
-// cache state; requests are routed by key through per-shard lock-free SPSC
-// queues fed by a single dispatcher, and options.threads workers each drive
-// a static subset of the shards (shard s -> worker s % threads).
-//
-// Because every shard's request stream and cache state are thread-private,
-// the per-shard access order — and therefore hits/misses/evictions — is
-// independent of the thread count: a fixed (trace, seed) pair produces
-// identical hit rates for any options.threads. When each shard also has its
-// own memory node (nodes[s], the intended deployment), the virtual-time
-// accounting is thread-private too and the whole RunResult is reproducible
-// bit-for-bit. Shards must not share mutable cache state.
-RunResult RunTraceSharded(const std::vector<CacheClient*>& shards, const workload::Trace& trace,
-                          const std::vector<rdma::RemoteNode*>& nodes,
-                          const RunOptions& options);
-
-// Contended multi-client replay: options.threads is ignored — every client
-// gets its own host thread, and unlike the sharded engine there is NO key
-// partitioning. Client c replays the strided sub-stream begin+c, begin+c+n,
-// ... of the trace, so clients race on whatever keys the trace makes them
-// share: slot CAS conflicts, duplicate-insert resolution, and eviction/victim
-// races all take their real concurrent paths against the shared pool(s).
-//
-// Clients must all be backed by the SAME dm::MemoryPool deployment (e.g.
-// bench::DittoDeployment), each with its own ClientContext — the per-client
-// FC cache, verbs endpoint, and scratch stay thread-private while the arena,
-// allocator freelists, and hash-table slots are genuinely shared. Results are
-// NOT bit-deterministic across runs (real races decide CAS winners); the
-// aggregate counters are still exact sums of what each client observed.
-// `per_client`, when non-null, receives one RunResult per client (ops, hit
-// rate, latency percentiles, and that client's contention counters).
-RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
-                            const workload::Trace& trace,
-                            const std::vector<rdma::RemoteNode*>& nodes,
-                            const RunOptions& options,
-                            std::vector<RunResult>* per_client = nullptr);
+// Key -> client partition of kPartitioned replay: SeededPartition of the raw
+// trace key with the constant seed 1.
+uint32_t ShardForKey(uint64_t key, size_t num_shards);
 
 // Convenience: formats a result row.
 std::string FormatResult(const std::string& label, const RunResult& r);

@@ -314,7 +314,8 @@ TEST(ClusterContendedTest, MigrationRacesEightClientsSafely) {
   core::ClusterConfig config = TestClusterConfig(512);
   config.ditto.validate_inserts = true;
   ClusterDeployment d(config, 8);
-  const sim::RunResult r = sim::RunTraceContended(d.raw, trace, d.nodes, options);
+  options.threads = 8;
+  const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
 
   const size_t measure_begin = trace.size() / 10;
   EXPECT_EQ(r.ops, trace.size() - measure_begin);

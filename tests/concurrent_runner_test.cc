@@ -1,58 +1,23 @@
-// Tests of the concurrent sharded simulation engine: the SPSC request
-// queue, thread-count-independent determinism of RunTraceSharded, and a
-// ThreadSanitizer-friendly stress of ClusterClient on shared memory nodes.
+// Tests of the replay engine on real host threads: thread-count-independent
+// determinism of kPartitioned replay with pinned counters, exact per-client
+// accounting under both placements, and a ThreadSanitizer-friendly stress of
+// ClusterClient on shared memory nodes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/cluster.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
-#include "sim/spsc_queue.h"
 #include "workloads/ycsb.h"
 
 namespace ditto {
 namespace {
-
-TEST(SpscQueueTest, DeliversAllItemsInOrderAcrossThreads) {
-  constexpr uint32_t kItems = 200000;
-  sim::SpscQueue<uint32_t> queue(256);
-  std::thread producer([&queue] {
-    for (uint32_t i = 0; i < kItems; ++i) {
-      while (!queue.TryPush(i)) {
-        std::this_thread::yield();
-      }
-    }
-  });
-  uint32_t expected = 0;
-  while (expected < kItems) {
-    uint32_t got;
-    if (queue.TryPop(&got)) {
-      ASSERT_EQ(got, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(queue.Empty());
-}
-
-TEST(SpscQueueTest, PushFailsWhenFullPopFailsWhenEmpty) {
-  sim::SpscQueue<int> queue(4);
-  int out;
-  EXPECT_FALSE(queue.TryPop(&out));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(queue.TryPush(i));
-  }
-  EXPECT_FALSE(queue.TryPush(99));
-  EXPECT_TRUE(queue.TryPop(&out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(queue.TryPush(4));
-}
 
 // A sharded Ditto deployment: one memory node, server, context, and client
 // per shard, so every shard's cache state is thread-private.
@@ -74,8 +39,8 @@ ShardedDeployment MakeDeployment(int num_shards) {
   config.experts = {"lru", "lfu"};
 
   ShardedDeployment d;
-  // Shards are driven directly: RunTraceSharded's dispatcher partitions by
-  // options.partition_seed.
+  // Shards are driven directly: the engine partitions keys with
+  // sim::ShardForKey.
   for (int i = 0; i < num_shards; ++i) {
     dm::MemoryPool* pool =
         d.pools.emplace_back(std::make_unique<dm::MemoryPool>(pool_config)).get();
@@ -88,15 +53,20 @@ ShardedDeployment MakeDeployment(int num_shards) {
   return d;
 }
 
-sim::RunResult RunSharded(const workload::Trace& trace, int threads, size_t batch_ops) {
-  ShardedDeployment d = MakeDeployment(/*num_shards=*/8);
+sim::RunOptions ShardedOptions(int threads, size_t batch_ops) {
   sim::RunOptions options;
+  options.placement = sim::Placement::kPartitioned;
   options.threads = threads;
-  options.partition_seed = 42;
   options.batch_ops = batch_ops;
   options.warmup_fraction = 0.2;
   options.miss_penalty_us = 50.0;
-  return sim::RunTraceSharded(d.raw, trace, d.nodes, options);
+  return options;
+}
+
+sim::RunResult RunSharded(const workload::Trace& trace, int threads, size_t batch_ops,
+                          std::vector<sim::RunResult>* per_client = nullptr) {
+  ShardedDeployment d = MakeDeployment(/*num_shards=*/8);
+  return sim::RunTrace(d.raw, trace, d.nodes, ShardedOptions(threads, batch_ops), per_client);
 }
 
 workload::Trace MakeTrace() {
@@ -154,14 +124,77 @@ TEST(ConcurrentRunnerTest, BatchingDoesNotChangeCacheBehaviour) {
   EXPECT_LT(batched.nic_doorbells, plain.nic_doorbells);
 }
 
-TEST(ConcurrentRunnerTest, ShardForKeyIsSeededAndBalanced) {
+// Counters of an 8-shard kPartitioned run, pinned to the values the engine
+// printed before kPartitioned and kShared replay shared one loop. Shards own
+// their memory nodes, so they hold for every thread count.
+TEST(ConcurrentRunnerTest, PartitionedCountersArePinnedForEveryThreadCount) {
+  const workload::Trace trace = MakeTrace();
+  for (const int threads : {1, 4}) {
+    const sim::RunResult r = RunSharded(trace, threads, /*batch_ops=*/0);
+    EXPECT_EQ(r.ops, 24000u) << "threads=" << threads;
+    EXPECT_EQ(r.hits, 11850u) << "threads=" << threads;
+    EXPECT_EQ(r.misses, 167u) << "threads=" << threads;
+    EXPECT_EQ(r.nic_messages, 88615u) << "threads=" << threads;
+    EXPECT_EQ(r.nic_doorbells, 88615u) << "threads=" << threads;
+    EXPECT_DOUBLE_EQ(r.elapsed_s, 0.018063998) << "threads=" << threads;
+    EXPECT_EQ(r.threads, threads);
+  }
+}
+
+// Sums per-client rows and checks them against the aggregate: ops, gets and
+// hits all add up, and every row's ops is the length of its measured stream.
+void ExpectPerClientRowsSumToAggregate(const sim::RunResult& r,
+                                       const std::vector<sim::RunResult>& per_client,
+                                       const std::vector<uint64_t>& expected_ops) {
+  ASSERT_EQ(per_client.size(), expected_ops.size());
+  uint64_t ops = 0, gets = 0, hits = 0;
+  for (size_t c = 0; c < per_client.size(); ++c) {
+    EXPECT_EQ(per_client[c].ops, expected_ops[c]) << "client " << c;
+    ops += per_client[c].ops;
+    gets += per_client[c].gets;
+    hits += per_client[c].hits;
+  }
+  EXPECT_EQ(ops, r.ops);
+  EXPECT_EQ(gets, r.gets);
+  EXPECT_EQ(hits, r.hits);
+}
+
+TEST(ConcurrentRunnerTest, PerClientRowsAreExactUnderBothPlacements) {
+  const workload::Trace trace = MakeTrace();
+  const size_t begin = static_cast<size_t>(0.2 * static_cast<double>(trace.size()));
+
+  // kPartitioned: shard s replays exactly the measured keys routed to it.
+  std::vector<sim::RunResult> per_shard;
+  const sim::RunResult sharded = RunSharded(trace, /*threads=*/2, /*batch_ops=*/0, &per_shard);
+  std::vector<uint64_t> shard_ops(8, 0);
+  for (size_t i = begin; i < trace.size(); ++i) {
+    shard_ops[sim::ShardForKey(trace[i].key, 8)]++;
+  }
+  ExpectPerClientRowsSumToAggregate(sharded, per_shard, shard_ops);
+  EXPECT_NE(*std::min_element(shard_ops.begin(), shard_ops.end()),
+            *std::max_element(shard_ops.begin(), shard_ops.end()))
+      << "key partitioning is uneven, so a strided op count would be wrong";
+
+  // kShared (one worker, so deterministic): client c replays the strided
+  // stream begin+c, begin+c+8, ...
+  ShardedDeployment d = MakeDeployment(/*num_shards=*/8);
+  sim::RunOptions options = ShardedOptions(/*threads=*/1, /*batch_ops=*/0);
+  options.placement = sim::Placement::kShared;
+  std::vector<sim::RunResult> per_client;
+  const sim::RunResult shared = sim::RunTrace(d.raw, trace, d.nodes, options, &per_client);
+  const uint64_t measured = trace.size() - begin;
+  ASSERT_EQ(measured % 8, 0u);
+  ExpectPerClientRowsSumToAggregate(shared, per_client, std::vector<uint64_t>(8, measured / 8));
+}
+
+TEST(ConcurrentRunnerTest, SeededPartitionIsSeededAndBalanced) {
   std::vector<int> counts(8, 0);
   bool seed_changes_route = false;
   for (uint64_t key = 0; key < 8000; ++key) {
-    const uint32_t s = sim::ShardForKey(key, 8, 42);
+    const uint32_t s = SeededPartition(key, 8, 42);
     ASSERT_LT(s, 8u);
     counts[s]++;
-    seed_changes_route = seed_changes_route || s != sim::ShardForKey(key, 8, 43);
+    seed_changes_route = seed_changes_route || s != SeededPartition(key, 8, 43);
   }
   EXPECT_TRUE(seed_changes_route);
   for (const int c : counts) {

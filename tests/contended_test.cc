@@ -1,8 +1,9 @@
 // Contended multi-client tests: real threads racing on one shared
 // dm::MemoryPool. Covers the slot-CAS serialization contract (no lost
 // updates), duplicate-insert resolution converging to a single live copy,
-// and sim::RunTraceContended end to end (aggregate vs per-client counters,
-// nonzero contention counters under full key overlap). Runs in the ASan/TSan
+// and multi-threaded kShared replay end to end (aggregate vs per-client
+// and per-phase counters, nonzero contention counters under full key
+// overlap). Runs in the ASan/TSan
 // CI matrix; everything here must be sanitizer-clean.
 #include <gtest/gtest.h>
 
@@ -35,7 +36,7 @@ dm::PoolConfig ContendedPool(uint64_t capacity_objects, size_t num_buckets = 102
 }
 
 // A shared-pool Ditto deployment: one pool + server, one context/client per
-// thread, with insert validation on (the contended engine's contract: racing
+// thread, with insert validation on (multi-threaded kShared replay's contract: racing
 // inserters must converge on a single copy of a key).
 struct ContendedDeployment {
   explicit ContendedDeployment(const dm::PoolConfig& pool_config,
@@ -188,7 +189,7 @@ TEST(ContendedCasTest, OverlappedChurnNeverServesCorruptValues) {
       << "capacity must hold under contended churn";
 }
 
-TEST(RunTraceContendedTest, FullOverlapReportsContentionAndConsistentCounters) {
+TEST(SharedReplayTest, FullOverlapReportsContentionAndConsistentCounters) {
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};
 
@@ -198,6 +199,7 @@ TEST(RunTraceContendedTest, FullOverlapReportsContentionAndConsistentCounters) {
 
   sim::RunOptions options;
   options.warmup_fraction = 0.2;
+  options.threads = 8;
   // Whether two threads actually collide on a slot CAS is up to the host
   // scheduler; on a loaded machine (parallel ctest) all 8 threads can get
   // serialized and race zero times. Retry with fresh deployments until a
@@ -207,7 +209,7 @@ TEST(RunTraceContendedTest, FullOverlapReportsContentionAndConsistentCounters) {
   for (int round = 0; round < 5; ++round) {
     ContendedDeployment d(ContendedPool(512, 512), config, 8);
     per_client.clear();
-    r = sim::RunTraceContended(d.raw, trace, {&d.pool.node()}, options, &per_client);
+    r = sim::RunTrace(d.raw, trace, {&d.pool.node()}, options, &per_client);
     if (r.cas_failures + r.insert_retries > 0) {
       break;
     }
@@ -238,9 +240,63 @@ TEST(RunTraceContendedTest, FullOverlapReportsContentionAndConsistentCounters) {
   EXPECT_EQ(insert_retries, r.insert_retries);
 }
 
-// With a single client the contended engine degenerates to sequential
-// in-order replay: hit counts match the interleaved engine exactly.
-TEST(RunTraceContendedTest, SingleClientMatchesSequentialReplay) {
+// kShared with fewer workers than clients: each of two workers interleaves
+// two clients of one shared pool while racing the other worker. Every op is
+// accounted for exactly once, in the aggregate, per client and per phase.
+TEST(SharedReplayTest, TwoWorkersForFourClientsAccountForEveryOp) {
+  core::DittoConfig config;
+  config.experts = {"lru", "lfu"};
+  workload::YcsbConfig ycsb;
+  ycsb.workload = 'A';
+  ycsb.num_keys = 2000;
+  const workload::Trace trace = workload::MakeYcsbTrace(ycsb, 30000, /*seed=*/7);
+
+  sim::RunOptions options;
+  options.threads = 2;
+  options.warmup_fraction = 0.2;
+  options.resize_schedule = {{0.5, 400}};
+  options.recovery_window_ops = 1000;  // ignored: windows need one worker
+  ContendedDeployment d(ContendedPool(600), config, 4);
+  std::vector<sim::RunResult> per_client;
+  const sim::RunResult r = sim::RunTrace(d.raw, trace, {&d.pool.node()}, options, &per_client);
+
+  const uint64_t measured = trace.size() - static_cast<size_t>(0.2 * trace.size());
+  EXPECT_EQ(r.threads, 2);
+  EXPECT_EQ(r.ops, measured);
+  EXPECT_EQ(r.gets, r.hits + r.misses);
+  EXPECT_GT(r.hits, 0u);
+  EXPECT_TRUE(r.recovery.empty());
+
+  ASSERT_EQ(per_client.size(), 4u);
+  uint64_t ops = 0, gets = 0, hits = 0;
+  for (const sim::RunResult& pc : per_client) {
+    EXPECT_EQ(pc.ops, measured / 4);
+    ops += pc.ops;
+    gets += pc.gets;
+    hits += pc.hits;
+  }
+  EXPECT_EQ(ops, r.ops);
+  EXPECT_EQ(gets, r.gets);
+  EXPECT_EQ(hits, r.hits);
+
+  ASSERT_EQ(r.phases.size(), 2u);
+  EXPECT_EQ(r.phases[1].capacity_objects, 400u);
+  uint64_t phase_ops = 0, phase_gets = 0, phase_hits = 0, phase_misses = 0;
+  for (const sim::PhaseResult& phase : r.phases) {
+    phase_ops += phase.ops;
+    phase_gets += phase.gets;
+    phase_hits += phase.hits;
+    phase_misses += phase.misses;
+  }
+  EXPECT_EQ(phase_ops, r.ops);
+  EXPECT_EQ(phase_gets, r.gets);
+  EXPECT_EQ(phase_hits, r.hits);
+  EXPECT_EQ(phase_misses, r.misses);
+}
+
+// With a single client, one thread per client is sequential in-order
+// replay: hit counts match the default single-worker replay exactly.
+TEST(SharedReplayTest, SingleClientMatchesSequentialReplay) {
   core::DittoConfig config;
   config.experts = {"lru"};
 
@@ -253,8 +309,9 @@ TEST(RunTraceContendedTest, SingleClientMatchesSequentialReplay) {
   options.warmup_fraction = 0.25;
 
   ContendedDeployment contended(ContendedPool(1024), config, 1);
+  options.threads = 1;
   const sim::RunResult a =
-      sim::RunTraceContended(contended.raw, trace, {&contended.pool.node()}, options);
+      sim::RunTrace(contended.raw, trace, {&contended.pool.node()}, options);
 
   ContendedDeployment sequential(ContendedPool(1024), config, 1);
   const sim::RunResult b =

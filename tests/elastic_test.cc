@@ -1,7 +1,7 @@
 // Elastic runtime capacity scaling, end to end: the kRpcResize controller
 // RPC, client evict-down on shrink (Ditto, Shard-LRU, CliqueMap, Redis
 // cluster), and the deterministic resize_schedule / per-phase hit-rate
-// trajectory of both replay engines.
+// trajectory of the replay engine under both placements.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -308,11 +308,11 @@ TEST(ElasticScheduleTest, ShardedTrajectoryIsThreadCountInvariant) {
       nodes.push_back(&pool->node());
     }
     sim::RunOptions options;
+    options.placement = sim::Placement::kPartitioned;
     options.threads = threads;
-    options.partition_seed = 7;
     options.warmup_fraction = 0.2;
     options.resize_schedule = {{0.3, 400}, {0.7, 1200}};
-    return sim::RunTraceSharded(raw, trace, nodes, options);
+    return sim::RunTrace(raw, trace, nodes, options);
   };
 
   const sim::RunResult r1 = run_with_threads(1);
@@ -337,6 +337,56 @@ TEST(ElasticScheduleTest, ShardedTrajectoryIsThreadCountInvariant) {
   // The shrink phase actually ran at the smaller capacity.
   EXPECT_GT(r1.phases[0].hit_rate, r1.phases[1].hit_rate);
   EXPECT_GT(r1.phases[2].hit_rate, r1.phases[1].hit_rate);
+}
+
+// Three clients interleaved on one host thread over one pool, with a resize
+// schedule and recovery windows: every phase and window is pinned to the
+// values the engine printed before its placements shared one replay loop.
+TEST(ElasticScheduleTest, ThreeClientPhasesAndRecoveryArePinned) {
+  dm::MemoryPool pool(PoolConfigFor(600));
+  core::DittoConfig config;
+  config.experts = {"lru", "lfu"};
+  core::DittoServer server(&pool, config);
+  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
+  std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
+  std::vector<sim::CacheClient*> raw;
+  for (int i = 0; i < 3; ++i) {
+    ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
+    clients.push_back(std::make_unique<sim::DittoCacheClient>(&pool, ctxs.back().get(), config));
+    raw.push_back(clients.back().get());
+  }
+  workload::YcsbConfig ycsb;
+  ycsb.workload = 'B';
+  ycsb.num_keys = 3000;
+  const workload::Trace trace = workload::MakeYcsbTrace(ycsb, 24000, /*seed=*/5);
+  sim::RunOptions options;
+  options.warmup_fraction = 0.25;
+  options.resize_schedule = {{0.3, 300}, {0.6, 900}};
+  options.recovery_window_ops = 2000;
+  const sim::RunResult r = sim::RunTrace(raw, trace, &pool.node(), options);
+
+  EXPECT_EQ(r.ops, 18000u);
+  EXPECT_EQ(r.gets, 17103u);
+  EXPECT_EQ(r.hits, 13339u);
+  const std::vector<sim::PhaseResult> phases = {{0, 5400, 5123, 4056, 1067, 0.0},
+                                                {300, 5400, 5134, 3431, 1703, 0.0},
+                                                {900, 7200, 6846, 5852, 994, 0.0}};
+  ASSERT_EQ(r.phases.size(), phases.size());
+  for (size_t p = 0; p < phases.size(); ++p) {
+    EXPECT_EQ(r.phases[p].capacity_objects, phases[p].capacity_objects) << p;
+    EXPECT_EQ(r.phases[p].ops, phases[p].ops) << p;
+    EXPECT_EQ(r.phases[p].gets, phases[p].gets) << p;
+    EXPECT_EQ(r.phases[p].hits, phases[p].hits) << p;
+    EXPECT_EQ(r.phases[p].misses, phases[p].misses) << p;
+  }
+  const std::vector<sim::RecoverySample> recovery = {
+      {2000, 1592}, {2000, 1589}, {2000, 1450}, {2000, 1324}, {2000, 1341},
+      {2000, 1563}, {2000, 1767}, {2000, 1743}, {1103, 970}};
+  ASSERT_EQ(r.recovery.size(), recovery.size());
+  for (size_t w = 0; w < recovery.size(); ++w) {
+    EXPECT_EQ(r.recovery[w].gets, recovery[w].gets) << w;
+    EXPECT_EQ(r.recovery[w].hits, recovery[w].hits) << w;
+  }
 }
 
 TEST(ElasticScheduleTest, EmptyScheduleYieldsSingleWholeRunPhase) {

@@ -1,8 +1,8 @@
 // Tests of the typed operation API (sim::CacheOp / sim::CacheResult /
 // ExecuteBatch): kDelete, kExpire with lazy expiry on lookup, and kMultiGet
 // across the Ditto client and the DM baselines; the doorbell win of chained
-// multi-gets; mixed-op determinism of the concurrent sharded engine; and the
-// seeded key -> shard partition contract of sim::ShardForKey.
+// multi-gets; mixed-op determinism of key-partitioned replay; the key ->
+// shard partition of sim::ShardForKey; and the seeded partition it uses.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +13,7 @@
 #include "baselines/cliquemap.h"
 #include "baselines/redis_model.h"
 #include "baselines/shard_lru.h"
+#include "common/hash.h"
 #include "core/cluster.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
@@ -286,7 +287,7 @@ TEST(OpApiTest, MultiGetIssuesFewerDoorbellsThanSingleGets) {
 }
 
 // ---------------------------------------------------------------------------
-// Mixed-op concurrent sharded replay: determinism across thread counts.
+// Mixed-op key-partitioned replay: determinism across thread counts.
 // ---------------------------------------------------------------------------
 
 struct ShardedDeployment {
@@ -331,13 +332,13 @@ TEST(OpApiTest, MixedOpShardedReplayIsDeterministicAcrossThreadCounts) {
   const auto run_with = [&trace](int threads) {
     ShardedDeployment d = MakeShardedDeployment(/*num_shards=*/8);
     sim::RunOptions options;
+    options.placement = sim::Placement::kPartitioned;
     options.threads = threads;
-    options.partition_seed = 42;
     options.warmup_fraction = 0.2;
     options.miss_penalty_us = 50.0;
     options.multiget_batch = 8;
     options.expire_ttl_ticks = 256;
-    return sim::RunTraceSharded(d.raw, trace, d.nodes, options);
+    return sim::RunTrace(d.raw, trace, d.nodes, options);
   };
 
   const sim::RunResult r1 = run_with(1);
@@ -383,7 +384,7 @@ TEST(OpApiTest, OpMixIsAPureFunctionOfIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// sim::ShardForKey: the seeded partition contract documented in runner.h.
+// sim::ShardForKey and the seeded partition underneath it.
 // ---------------------------------------------------------------------------
 
 TEST(ShardForKeyTest, PartitionIsBalancedAcrossShardCounts) {
@@ -391,8 +392,9 @@ TEST(ShardForKeyTest, PartitionIsBalancedAcrossShardCounts) {
   for (const size_t shards : {2u, 5u, 8u, 64u}) {
     std::vector<uint64_t> counts(shards, 0);
     for (uint64_t key = 0; key < kKeys; ++key) {
-      const uint32_t s = sim::ShardForKey(key, shards, /*seed=*/1);
+      const uint32_t s = sim::ShardForKey(key, shards);
       ASSERT_LT(s, shards);
+      ASSERT_EQ(s, SeededPartition(key, shards, /*seed=*/1)) << "key=" << key;
       counts[s]++;
     }
     const double expected = static_cast<double>(kKeys) / static_cast<double>(shards);
@@ -403,20 +405,21 @@ TEST(ShardForKeyTest, PartitionIsBalancedAcrossShardCounts) {
   }
 }
 
-TEST(ShardForKeyTest, StableUnderAFixedSeedAndReshuffledByNewSeeds) {
+TEST(SeededPartitionTest, StableUnderAFixedSeedAndReshuffledByNewSeeds) {
   // Stability: the partition is a pure function of (key, shards, seed) — the
-  // determinism contract RunTraceSharded's thread-count invariance rests on.
+  // determinism contract kPartitioned replay's thread-count invariance rests
+  // on. RedisModel's configurable seed reshuffles it.
   std::vector<uint32_t> first;
   for (uint64_t key = 0; key < 4096; ++key) {
-    first.push_back(sim::ShardForKey(key, 16, /*seed=*/99));
+    first.push_back(SeededPartition(key, 16, /*seed=*/99));
   }
   for (uint64_t key = 0; key < 4096; ++key) {
-    EXPECT_EQ(sim::ShardForKey(key, 16, 99), first[key]) << "key=" << key;
+    EXPECT_EQ(SeededPartition(key, 16, 99), first[key]) << "key=" << key;
   }
   // Different seeds produce materially different partitions (reshuffling).
   uint64_t moved = 0;
   for (uint64_t key = 0; key < 4096; ++key) {
-    moved += sim::ShardForKey(key, 16, /*seed=*/100) != first[key] ? 1 : 0;
+    moved += SeededPartition(key, 16, /*seed=*/100) != first[key] ? 1 : 0;
   }
   EXPECT_GT(moved, 4096u * 8 / 10) << "a new seed must reshuffle most keys";
 }

@@ -343,7 +343,7 @@ TEST_F(PipelineReplayTest, BaselineClientsDegradeToDepth1IncludingMissPenalty) {
 
 TEST_F(PipelineReplayTest, ShardedEngineDepthInvariantAcrossThreadCounts) {
   // The pipelined issue loop lives in the per-shard dispatcher, so the
-  // sharded engine's thread-count invariance must survive pipelining.
+  // kPartitioned thread-count invariance must survive pipelining.
   const workload::Trace trace = TestTrace('B', 30000);
   auto run_sharded = [&](int threads) {
     constexpr int kShards = 4;
@@ -369,9 +369,10 @@ TEST_F(PipelineReplayTest, ShardedEngineDepthInvariantAcrossThreadCounts) {
       nodes.push_back(&pool->node());
     }
     sim::RunOptions options;
+    options.placement = sim::Placement::kPartitioned;
     options.threads = threads;
     options.pipeline_depth = 8;
-    return sim::RunTraceSharded(raw, trace, nodes, options);
+    return sim::RunTrace(raw, trace, nodes, options);
   };
   const sim::RunResult t1 = run_sharded(1);
   const sim::RunResult t4 = run_sharded(4);

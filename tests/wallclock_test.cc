@@ -83,8 +83,8 @@ TEST(WallClockTest, PipelinedRunTraceFillsWallFields) {
   ExpectWallFilled(r, /*expected_threads=*/1);
 }
 
-// RunTraceSharded over `num_shards` private memory nodes, one Ditto client
-// each, with `threads` requested workers.
+// kPartitioned replay over `num_shards` private memory nodes, one Ditto
+// client each, with `threads` requested workers.
 sim::RunResult RunSharded(int num_shards, int threads) {
   const core::DittoConfig config = LruLfu();
   std::vector<std::unique_ptr<dm::MemoryPool>> pools;
@@ -102,22 +102,22 @@ sim::RunResult RunSharded(int num_shards, int threads) {
     nodes.push_back(&pool->node());
   }
   sim::RunOptions options;
+  options.placement = sim::Placement::kPartitioned;
   options.threads = threads;
-  options.partition_seed = 42;
-  return sim::RunTraceSharded(raw, SmallTrace(), nodes, options);
+  return sim::RunTrace(raw, SmallTrace(), nodes, options);
 }
 
-TEST(WallClockTest, RunTraceShardedReportsWorkerThreadCount) {
+TEST(WallClockTest, PartitionedReplayReportsWorkerThreadCount) {
   // Workers driving the shards: min(options.threads, num_shards).
   ExpectWallFilled(RunSharded(/*num_shards=*/4, /*threads=*/2), /*expected_threads=*/2);
 }
 
-TEST(WallClockTest, RunTraceShardedClampsThreadsToShardCount) {
+TEST(WallClockTest, PartitionedReplayClampsThreadsToShardCount) {
   // More workers than shards: only the 2 shards can run.
   ExpectWallFilled(RunSharded(/*num_shards=*/2, /*threads=*/8), /*expected_threads=*/2);
 }
 
-TEST(WallClockTest, RunTraceContendedReportsOneThreadPerClient) {
+TEST(WallClockTest, SharedReplayReportsOneThreadPerClient) {
   constexpr int kClients = 2;
   core::DittoConfig config = LruLfu();
   config.validate_inserts = true;
@@ -134,10 +134,10 @@ TEST(WallClockTest, RunTraceContendedReportsOneThreadPerClient) {
   }
 
   sim::RunOptions options;
+  options.threads = kClients;
   std::vector<rdma::RemoteNode*> nodes = {&pool.node()};
   std::vector<sim::RunResult> per_client;
-  const sim::RunResult r =
-      sim::RunTraceContended(raw, SmallTrace(), nodes, options, &per_client);
+  const sim::RunResult r = sim::RunTrace(raw, SmallTrace(), nodes, options, &per_client);
   ExpectWallFilled(r, /*expected_threads=*/kClients);
   // Per-client results share the run's wall window and thread count.
   ASSERT_EQ(per_client.size(), static_cast<size_t>(kClients));
