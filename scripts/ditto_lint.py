@@ -14,9 +14,11 @@ Four machine-checked invariants that code review kept re-litigating:
                   push_back/emplace_back/resize/reserve, no std::to_string.
                   A line may opt out with
                   `// ditto-lint: allow(alloc): <non-empty reason>` on the
-                  same or the immediately preceding line. The four regions
-                  named in REQUIRED_HOT_PATHS must exist — deleting a marker
-                  does not silence the check.
+                  same or the immediately preceding line. The regions named
+                  in REQUIRED_HOT_PATHS must exist — deleting a marker does
+                  not silence the check. A region pinned to several files
+                  (one begin/end pair in each) spans a path that crosses a
+                  header and its callers.
 
 3. casts          reinterpret_cast appears only at the pinned sites below
                   (exact per-file counts). A new cast anywhere — or a removed
@@ -47,13 +49,16 @@ WIRE_STRUCTS = [
     ("src/core/ring.h", "RingEpochHeader"),
 ]
 
-# region name -> relative file that must contain it.
+# region name -> relative file (or tuple of files) that must contain it.
 REQUIRED_HOT_PATHS = {
     "slot-scan": "src/hashtable/layout.h",
     "op-dispatch": "src/sim/runner.cc",
     "resp-parse": "src/net/resp.cc",
     "arena-copy": "src/rdma/arena.cc",
     "migrate-copy": "src/core/cluster.cc",
+    # The per-verb NIC charge: the account-shard update in the header and
+    # the Verbs bodies that call it.
+    "verb-charge": ("src/rdma/nic_model.h", "src/rdma/verbs.cc"),
 }
 
 # relative file -> exact number of reinterpret_cast tokens allowed.
@@ -134,10 +139,16 @@ def check_wire_structs(root, wire_structs=None, errors=None):
     return errors
 
 
+def pinned_files(pin):
+    """REQUIRED_HOT_PATHS values are one relative path or a tuple of them."""
+    return (pin,) if isinstance(pin, str) else tuple(pin)
+
+
 def check_hot_paths(root, required=None, errors=None):
     errors = errors if errors is not None else []
-    required = dict(required if required is not None else REQUIRED_HOT_PATHS)
-    seen = {}  # name -> rel file
+    required = {name: pinned_files(pin) for name, pin in
+                (required if required is not None else REQUIRED_HOT_PATHS).items()}
+    seen = {}  # name -> rel files holding a begin marker, in scan order
     for path in iter_source_files(root):
         lines = path.read_text().splitlines()
         rel_path = rel(root, path)
@@ -146,14 +157,16 @@ def check_hot_paths(root, required=None, errors=None):
             begin = BEGIN_RE.search(line)
             end = END_RE.search(line)
             if begin:
+                name = begin.group(1)
                 if open_region is not None:
-                    errors.append(f"{rel_path}:{lineno}: hot-paths: begin({begin.group(1)}) "
+                    errors.append(f"{rel_path}:{lineno}: hot-paths: begin({name}) "
                                   f"inside unclosed region {open_region[0]}")
-                open_region = (begin.group(1), lineno)
-                if begin.group(1) in seen:
+                open_region = (name, lineno)
+                files = seen.setdefault(name, [])
+                if files and (rel_path in files or len(required.get(name, ())) < 2):
                     errors.append(f"{rel_path}:{lineno}: hot-paths: duplicate region "
-                                  f"{begin.group(1)} (also in {seen[begin.group(1)]})")
-                seen[begin.group(1)] = rel_path
+                                  f"{name} (also in {files[0]})")
+                files.append(rel_path)
                 continue
             if end:
                 if open_region is None or open_region[0] != end.group(1):
@@ -179,12 +192,17 @@ def check_hot_paths(root, required=None, errors=None):
         if open_region is not None:
             errors.append(f"{rel_path}:{open_region[1]}: hot-paths: region "
                           f"{open_region[0]} never closed")
-    for name, rel_path in required.items():
-        if name not in seen:
-            errors.append(f"{rel_path}:1: hot-paths: required region {name} is missing")
-        elif seen[name] != rel_path:
-            errors.append(f"{seen[name]}:1: hot-paths: region {name} pinned to "
-                          f"{rel_path} but found here")
+    for name, files in required.items():
+        found = seen.get(name, [])
+        stray = [rel_path for rel_path in found if rel_path not in files]
+        for rel_path in stray:
+            errors.append(f"{rel_path}:1: hot-paths: region {name} pinned to "
+                          f"{', '.join(files)} but found here")
+        if not stray:
+            for rel_path in files:
+                if rel_path not in found:
+                    errors.append(f"{rel_path}:1: hot-paths: required region {name} "
+                                  f"is missing")
     return errors
 
 

@@ -177,6 +177,38 @@ v.push_back(2);
         self.assertIn("pinned to src/a.cc", errors[0])
 
 
+    def test_region_pinned_to_two_files_passes(self):
+        region = ("// ditto-lint: hot-path-begin(charge)\n"
+                  "// ditto-lint: hot-path-end(charge)\n")
+        self.tree.write("src/a.h", region)
+        self.tree.write("src/a.cc", region)
+        errors = ditto_lint.check_hot_paths(self.root, {"charge": ("src/a.h", "src/a.cc")})
+        self.assertEqual(errors, [])
+
+    def test_region_missing_from_one_pinned_file_fails(self):
+        self.tree.write("src/a.h",
+                        "// ditto-lint: hot-path-begin(charge)\n"
+                        "// ditto-lint: hot-path-end(charge)\n")
+        self.tree.write("src/a.cc", "int x;\n")
+        errors = ditto_lint.check_hot_paths(self.root, {"charge": ("src/a.h", "src/a.cc")})
+        self.assertEqual(len(errors), 1, errors)
+        self.assertIn("src/a.cc:1: hot-paths: required region charge is missing", errors[0])
+
+    def test_region_twice_in_one_pinned_file_fails(self):
+        region = ("// ditto-lint: hot-path-begin(charge)\n"
+                  "// ditto-lint: hot-path-end(charge)\n")
+        self.tree.write("src/a.h", region)
+        self.tree.write("src/a.cc", region + region)
+        errors = ditto_lint.check_hot_paths(self.root, {"charge": ("src/a.h", "src/a.cc")})
+        self.assertEqual(len(errors), 1, errors)
+        self.assertIn("duplicate region charge", errors[0])
+
+    def test_verb_charge_is_required(self):
+        # The per-verb account charge stays under the allocation ban: deleting
+        # its markers from either file fails the lint.
+        self.assertEqual(ditto_lint.REQUIRED_HOT_PATHS["verb-charge"],
+                         ("src/rdma/nic_model.h", "src/rdma/verbs.cc"))
+
 class ReinterpretCastTest(LintTestCase):
     def test_exact_pin_passes(self):
         rel = self.tree.write("src/a.cc",

@@ -26,21 +26,52 @@ void Verbs::AdvanceBaseToNs(uint64_t ns) {
   }
 }
 
+// ditto-lint: hot-path-begin(verb-charge)
 uint64_t Verbs::PostSignalled(double rtt_us, double msg_cost, size_t bytes) {
   const CostModel& cost = node_->cost();
-  node_->nic().ChargeBytes(bytes);
-  node_->nic().CountDoorbell();
   const uint64_t now = base_now_ns();
-  const uint64_t queue_ns = node_->nic().ChargeMessage(now, msg_cost);
+  const uint64_t queue_ns = node_->nic().ChargeVerb(now, msg_cost, bytes, /*doorbells=*/1);
   uint64_t complete_ns = now;
   if (cost.enabled) {
     const double wire_us = static_cast<double>(bytes) / cost.bytes_per_us;
     complete_ns += queue_ns + static_cast<uint64_t>((rtt_us + wire_us) * 1000.0);
   }
   const uint64_t wr = next_wr_++;
+  // ditto-lint: allow(alloc): the CQ holds at most the pipeline depth, so its capacity is reused
   cq_.push_back(Completion{wr, complete_ns});
   return wr;
 }
+
+void Verbs::ChargeAsync(double msg_cost, size_t bytes) {
+  const CostModel& cost = node_->cost();
+  node_->nic().ChargeVerb(base_now_ns(), msg_cost, bytes, /*doorbells=*/1);
+  if (!cost.enabled) {
+    return;
+  }
+  AdvanceBaseNs(static_cast<uint64_t>(cost.async_post_us * 1000.0));
+}
+
+void Verbs::FlushBatch() {
+  batch_posts_ = 0;
+  if (pending_.empty()) {
+    return;
+  }
+  const CostModel& cost = node_->cost();
+  // One doorbell rings for the whole chain; it is counted with the first WQE.
+  uint64_t doorbells = 1;
+  for (const PendingOp& op : pending_) {
+    const double msg_cost = op.kind == 0 ? 1.0 : cost.atomic_msg_cost;
+    node_->nic().ChargeVerb(base_now_ns(), msg_cost, op.bytes, doorbells);
+    doorbells = 0;
+  }
+  if (cost.enabled) {
+    AdvanceBaseNs(static_cast<uint64_t>(
+        (cost.async_post_us + cost.batched_wqe_us * static_cast<double>(pending_.size() - 1)) *
+        1000.0));
+  }
+  pending_.clear();
+}
+// ditto-lint: hot-path-end(verb-charge)
 
 double Verbs::FaultDraw() {
   const FaultPlan& plan = node_->fault().plan();
@@ -133,17 +164,6 @@ uint64_t Verbs::EndOp() {
   return op_cursor_;
 }
 
-void Verbs::ChargeAsync(double msg_cost, size_t bytes) {
-  const CostModel& cost = node_->cost();
-  node_->nic().ChargeBytes(bytes);
-  node_->nic().CountDoorbell();
-  node_->nic().ChargeMessage(base_now_ns(), msg_cost);
-  if (!cost.enabled) {
-    return;
-  }
-  AdvanceBaseNs(static_cast<uint64_t>(cost.async_post_us * 1000.0));
-}
-
 void Verbs::SetBatchOps(size_t max_pending) {
   // Reconfiguring the chain always drains it, so callers can use this at a
   // measurement boundary to keep deferred costs out of the next window.
@@ -168,26 +188,6 @@ void Verbs::EnqueueBatched(uint8_t kind, uint64_t addr, uint32_t bytes) {
   if (batch_posts_ >= batch_max_) {
     FlushBatch();
   }
-}
-
-void Verbs::FlushBatch() {
-  batch_posts_ = 0;
-  if (pending_.empty()) {
-    return;
-  }
-  const CostModel& cost = node_->cost();
-  node_->nic().CountDoorbell();
-  for (const PendingOp& op : pending_) {
-    const double msg_cost = op.kind == 0 ? 1.0 : cost.atomic_msg_cost;
-    node_->nic().ChargeBytes(op.bytes);
-    node_->nic().ChargeMessage(base_now_ns(), msg_cost);
-  }
-  if (cost.enabled) {
-    AdvanceBaseNs(static_cast<uint64_t>(
-        (cost.async_post_us + cost.batched_wqe_us * static_cast<double>(pending_.size() - 1)) *
-        1000.0));
-  }
-  pending_.clear();
 }
 
 void Verbs::Read(uint64_t addr, void* dst, size_t len) {
@@ -305,10 +305,9 @@ void Verbs::Rpc(uint32_t handler_id, std::string_view request, std::string* resp
   }
   ctx_->rpcs++;
   // Request and response messages; one doorbell for the send WQE.
-  node_->nic().CountDoorbell();
-  node_->nic().ChargeBytes(request.size());
   const uint64_t now = base_now_ns();
-  const uint64_t nic_queue_ns = node_->nic().ChargeMessage(now, 1.0);
+  const uint64_t nic_queue_ns =
+      node_->nic().ChargeVerb(now, 1.0, request.size(), /*doorbells=*/1);
   node_->nic().ChargeMessage(now, 1.0);
   const uint64_t cpu_queue_ns = node_->cpu().ChargeRpc(now, service_us);
   node_->DispatchRpc(handler_id, request, response);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -155,6 +158,156 @@ TEST(CpuModelTest, MoreCoresServeFaster) {
   }
   EXPECT_EQ(one.busy_horizon_ns(), 100000u);
   EXPECT_EQ(four.busy_horizon_ns(), 25000u);
+}
+
+// --- Account shards -------------------------------------------------------
+
+// The single-atomic fluid queue the shards replace: the reference for
+// charges that one host thread at a time makes.
+struct ReferenceQueue {
+  uint64_t work_ns = 0;
+  uint64_t Charge(uint64_t now_ns, uint64_t service_ns) {
+    const uint64_t backlog = work_ns;
+    work_ns += service_ns;
+    return backlog > now_ns ? backlog - now_ns : 0;
+  }
+};
+
+class AccountShardCountTest : public ::testing::TestWithParam<int> {};
+
+// N threads x M charges, all threads live at once: every counter and both
+// horizons are exact whether a thread owns a shard or shares the overflow
+// shard (2 x kShards threads leave at least kShards of them without one).
+TEST_P(AccountShardCountTest, CountersAndHorizonsAreExact) {
+  const int threads = GetParam();
+  constexpr uint64_t kCharges = 20000;
+  CostModel cost;
+  cost.nic_mops = 10.0;  // 100ns per message
+  NicModel nic(cost);
+  CpuModel cpu(cost, /*cores=*/2);
+  std::latch start(threads);
+  std::latch finished(threads);
+  std::vector<int> slots(static_cast<size_t>(threads), -1);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (uint64_t i = 0; i < kCharges; ++i) {
+        nic.ChargeVerb(/*now_ns=*/i, 1.0, /*bytes=*/8, /*doorbells=*/1);
+        if (i % 2 == 0) {
+          cpu.ChargeRpc(i, /*service_us=*/1.0);
+        }
+      }
+      slots[static_cast<size_t>(t)] = account_slot::t_slot;
+      // Hold the slot until every thread has charged, so the threads
+      // beyond kShards find no free one.
+      finished.arrive_and_wait();
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  const uint64_t total = static_cast<uint64_t>(threads) * kCharges;
+  EXPECT_EQ(nic.messages(), total);
+  EXPECT_EQ(nic.bytes(), 8 * total);
+  EXPECT_EQ(nic.doorbells(), total);
+  EXPECT_EQ(nic.busy_horizon_ns(), 100 * total);
+  EXPECT_EQ(cpu.ops(), total / 2);
+  EXPECT_EQ(cpu.busy_horizon_ns(), 500 * (total / 2)) << "1us over 2 cores";
+  if (threads > QueueingServer::kShards) {
+    EXPECT_GT(std::count(slots.begin(), slots.end(), QueueingServer::kShards), 0)
+        << "some threads charged through the overflow shard";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, AccountShardCountTest,
+                         ::testing::Values(1, 4, QueueingServer::kShards,
+                                           2 * QueueingServer::kShards));
+
+// Sequential handoffs between host threads -- the calling thread, a worker
+// that joins, a second worker (which may reuse the first one's slot), the
+// calling thread again and a fresh worker -- observe exactly the backlog of
+// one shared fluid queue on every charge, across refresh boundaries.
+TEST(AccountShardTest, HandoffsMatchSingleAtomicQueue) {
+  QueueingServer server;
+  ReferenceQueue reference;
+  constexpr int kChargesPerTurn = 3 * QueueingServer::kRefreshCharges + 5;
+  uint64_t step = 0;
+  auto turn = [&] {
+    for (int i = 0; i < kChargesPerTurn; ++i, ++step) {
+      const uint64_t now = step * 37;
+      const uint64_t service = 40 + (step * 13) % 100;
+      const uint64_t want = reference.Charge(now, service);
+      ASSERT_EQ(server.Charge(now, service), want) << "charge " << step;
+    }
+  };
+  auto on_new_thread = [&] {
+    std::thread worker(turn);
+    worker.join();
+  };
+  turn();
+  on_new_thread();  // A
+  on_new_thread();  // B
+  turn();
+  on_new_thread();  // A again: a fresh thread
+  EXPECT_EQ(server.next_free_ns(), reference.work_ns);
+}
+
+// Four threads saturate one node at now = 0. The horizon is exact, and every
+// delay lies within the staleness contract of nic_model.h: it includes all
+// own earlier work and every other thread's charge that completed before this
+// thread's last refresh (at most kRefreshCharges - 1 own charges back). From
+// above, a charge cannot see work that other threads charged only after
+// observing this thread's later progress, which the lockstep window bounds.
+TEST(AccountShardTest, ConcurrentDelaysStayWithinStalenessBound) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kCharges = 100000;
+  constexpr uint64_t kService = 100;
+  constexpr uint64_t kRefresh = QueueingServer::kRefreshCharges;
+  constexpr uint64_t kWindow = 16 * kRefresh;
+  QueueingServer server;
+  std::array<std::atomic<uint64_t>, kThreads> done{};
+  std::atomic<uint64_t> violations{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<uint64_t> others_done(kCharges);  // before charge i
+      start.arrive_and_wait();
+      for (uint64_t i = 0; i < kCharges; ++i) {
+        // Loose lockstep: charge i starts only once every thread has done
+        // i - kWindow, so the threads' charges really interleave, and another
+        // thread's charges visible here number fewer than i + 2 * kWindow.
+        if (i % kWindow == 0) {
+          for (int o = 0; o < kThreads; ++o) {
+            while (done[o].load(std::memory_order_acquire) + kWindow < i) {
+              std::this_thread::yield();
+            }
+          }
+        }
+        uint64_t before = 0;
+        for (int o = 0; o < kThreads; ++o) {
+          if (o != t) {
+            before += done[o].load(std::memory_order_acquire);
+          }
+        }
+        others_done[i] = before;
+        const uint64_t delay = server.Charge(/*now_ns=*/0, kService);
+        done[t].store(i + 1, std::memory_order_release);
+        const uint64_t last_refresh = i >= kRefresh - 1 ? i - (kRefresh - 1) : 0;
+        const uint64_t low = kService * (i + others_done[last_refresh]);
+        const uint64_t high = kService * (i + (kThreads - 1) * (i + 2 * kWindow));
+        if (delay < low || delay > high) {
+          violations.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_EQ(server.next_free_ns(), kThreads * kCharges * kService);
 }
 
 TEST(VerbsTest, ReadChargesRttAndBytes) {
