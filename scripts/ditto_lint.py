@@ -59,6 +59,9 @@ REQUIRED_HOT_PATHS = {
     # The per-verb NIC charge: the account-shard update in the header and
     # the Verbs bodies that call it.
     "verb-charge": ("src/rdma/nic_model.h", "src/rdma/verbs.cc"),
+    # The FC cache's per-access path: the inline lookups in the header and
+    # RecordAccess/FlushEntry in the source (growth is allow(alloc)).
+    "fc-cache": ("src/core/fc_cache.h", "src/core/fc_cache.cc"),
 }
 
 # relative file -> exact number of reinterpret_cast tokens allowed.

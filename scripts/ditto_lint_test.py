@@ -209,6 +209,32 @@ v.push_back(2);
         self.assertEqual(ditto_lint.REQUIRED_HOT_PATHS["verb-charge"],
                          ("src/rdma/nic_model.h", "src/rdma/verbs.cc"))
 
+    def test_fc_cache_is_required(self):
+        # The FC cache's per-access lookups (header) and RecordAccess /
+        # FlushEntry (source) stay under the allocation ban.
+        self.assertEqual(ditto_lint.REQUIRED_HOT_PATHS["fc-cache"],
+                         ("src/core/fc_cache.h", "src/core/fc_cache.cc"))
+
+    def test_fc_cache_growth_needs_allow(self):
+        # Shaped like the FC cache: the growth path inside the region passes
+        # only with its allow(alloc) reason.
+        pin = {"fc-cache": ("src/f.h", "src/f.cc")}
+        lookup = ("// ditto-lint: hot-path-begin(fc-cache)\n"
+                  "int Probe();\n"
+                  "// ditto-lint: hot-path-end(fc-cache)\n")
+        self.tree.write("src/f.h", lookup)
+        grow = ("// ditto-lint: hot-path-begin(fc-cache)\n"
+                "{allow}"
+                "  fifo_.resize(fifo_.size() * 2);\n"
+                "// ditto-lint: hot-path-end(fc-cache)\n")
+        self.tree.write("src/f.cc", grow.format(
+            allow="  // ditto-lint: allow(alloc): doubles only past its largest size\n"))
+        self.assertEqual(ditto_lint.check_hot_paths(self.root, pin), [])
+        self.tree.write("src/f.cc", grow.format(allow=""))
+        errors = ditto_lint.check_hot_paths(self.root, pin)
+        self.assertEqual(len(errors), 1, errors)
+        self.assertIn("resize in hot-path region fc-cache", errors[0])
+
 class ReinterpretCastTest(LintTestCase):
     def test_exact_pin_passes(self):
         rel = self.tree.write("src/a.cc",

@@ -1,14 +1,54 @@
 #include "rdma/arena.h"
 
 #include <cassert>
+#include <cstdlib>
+#include <new>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 namespace ditto::rdma {
+namespace {
+
+// Raw storage for `bytes` of cells: 2 MiB-aligned and huge-page advised at
+// or above kHugePageBytes, a plain malloc below it. Released with std::free.
+void* AllocateCells(size_t bytes) {
+  if (bytes < MemoryArena::kHugePageBytes) {
+    return std::malloc(bytes == 0 ? 8 : bytes);  // malloc(0) may return null
+  }
+  // aligned_alloc wants a size that is a multiple of the alignment; the
+  // rounded-up tail past size() is never touched.
+  const size_t rounded =
+      (bytes + MemoryArena::kHugePageBytes - 1) & ~(MemoryArena::kHugePageBytes - 1);
+  void* raw = std::aligned_alloc(MemoryArena::kHugePageBytes, rounded);
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  if (raw != nullptr) {
+    // Advisory only: it fails harmlessly where THP is unavailable.
+    (void)madvise(raw, rounded, MADV_HUGEPAGE);
+  }
+#endif
+  return raw;
+}
+
+}  // namespace
+
+void MemoryArena::FreeCells::operator()(std::atomic<uint64_t>* cells) const {
+  std::free(cells);
+}
 
 MemoryArena::MemoryArena(size_t size_bytes) : size_((size_bytes + 7) & ~size_t{7}) {
-  cells_ = std::make_unique<std::atomic<uint64_t>[]>(size_ / 8);
-  for (size_t i = 0; i < size_ / 8; ++i) {
-    cells_[i].store(0, std::memory_order_relaxed);
+  void* raw = AllocateCells(size_);
+  if (raw == nullptr) {
+    throw std::bad_alloc();
   }
+  // One pass constructs (and zeroes) every cell, which also faults in every
+  // page of the arena here rather than under the first verbs that touch it.
+  auto* cells = static_cast<std::atomic<uint64_t>*>(raw);
+  for (size_t i = 0; i < size_ / 8; ++i) {
+    ::new (&cells[i]) std::atomic<uint64_t>(0);
+  }
+  cells_.reset(cells);
 }
 
 std::atomic<uint64_t>* MemoryArena::CellFor(uint64_t addr) {

@@ -146,6 +146,36 @@ TEST_F(HashTableTest, ReadBucketRejectsOutOfRangeBucket) {
   EXPECT_EQ(bucket.size(), static_cast<size_t>(table_.slots_per_bucket()));
 }
 
+TEST_F(HashTableTest, FaultFailedReadsDecodeAsEmptySlots) {
+  // Bucket and sample READs land directly in the caller's SlotViews, so a
+  // fault-failed READ must zero them rather than leave the previous decode.
+  const uint64_t desired = PackAtomic(0x42, 4, 0xC0FFEE);
+  ASSERT_TRUE(table_.CasAtomic(table_.BucketSlotAddr(3, 2), 0, desired));
+  std::vector<SlotView> bucket;
+  ASSERT_TRUE(table_.ReadBucket(3, &bucket));
+  ASSERT_EQ(bucket[2].atomic_word, desired);
+  const uint64_t bucket_start = uint64_t{3} * table_.slots_per_bucket();
+  std::vector<SlotView> sample;
+  ASSERT_TRUE(table_.ReadSlots(bucket_start, 5, &sample));
+  ASSERT_EQ(sample[2].atomic_word, desired);
+
+  rdma::FaultPlan plan;
+  plan.verb_timeout_prob = 1.0;
+  pool_.node().fault().Configure(plan);
+  EXPECT_EQ(table_.PostReadBucket(3, &bucket), 0u) << "a failed post has no wr";
+  EXPECT_TRUE(table_.ReadSlots(bucket_start, 5, &sample));
+  EXPECT_FALSE(verbs_.ok());
+  ASSERT_EQ(bucket.size(), static_cast<size_t>(table_.slots_per_bucket()));
+  for (const SlotView& slot : bucket) {
+    EXPECT_TRUE(slot.IsEmpty());
+    EXPECT_EQ(slot.hash, 0u);
+  }
+  ASSERT_EQ(sample.size(), 5u);
+  for (const SlotView& slot : sample) {
+    EXPECT_TRUE(slot.IsEmpty());
+  }
+}
+
 TEST_F(HashTableTest, SamplingUsesSingleRead) {
   std::vector<SlotView> sample;
   const uint64_t reads_before = ctx_.reads;

@@ -41,6 +41,30 @@ TEST(ArenaTest, UnalignedEdgesPreserveNeighbors) {
   EXPECT_EQ(out[8], 0xAA);
 }
 
+// Arenas at and above 2 MiB take the huge-page-aligned allocation; 1 MiB
+// keeps a plain one. Every size starts zeroed end to end and round-trips at
+// its last word. Whether the host backs the memory with huge pages depends
+// on its THP mode, so residency is not asserted.
+TEST(ArenaTest, SizesAroundTheHugePageThreshold) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  for (const size_t size : {kMiB, 2 * kMiB, 136 * kMiB + 8}) {
+    SCOPED_TRACE(size);
+    MemoryArena arena(size);
+    ASSERT_EQ(arena.size(), size);
+    const uint64_t last = size - 8;
+    EXPECT_EQ(arena.ReadU64(0), 0u);
+    EXPECT_EQ(arena.ReadU64(last), 0u);
+    const uint64_t word = 0x0123456789abcdefULL;
+    arena.Write(last, &word, 8);
+    uint64_t out = 0;
+    arena.Read(last, &out, 8);
+    EXPECT_EQ(out, word);
+    if (size >= MemoryArena::kHugePageBytes) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.base()) % MemoryArena::kHugePageBytes, 0u);
+    }
+  }
+}
+
 TEST(ArenaTest, CompareSwapSemantics) {
   MemoryArena arena(64);
   arena.WriteU64(8, 100);
