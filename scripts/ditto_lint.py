@@ -62,6 +62,11 @@ REQUIRED_HOT_PATHS = {
     # The FC cache's per-access path: the inline lookups in the header and
     # RecordAccess/FlushEntry in the source (growth is allow(alloc)).
     "fc-cache": ("src/core/fc_cache.h", "src/core/fc_cache.cc"),
+    # A served read batch's GET/SET run: collect, one ExecuteBatch, format.
+    # Its error replies are string literals, never built strings.
+    "served-batch": "src/net/connection.cc",
+    # LogicalClock::Tick/Now, once per Get/Set on every client.
+    "clock-tick": "src/common/clock.h",
 }
 
 # relative file -> exact number of reinterpret_cast tokens allowed.

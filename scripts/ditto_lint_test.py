@@ -235,6 +235,36 @@ v.push_back(2);
         self.assertEqual(len(errors), 1, errors)
         self.assertIn("resize in hot-path region fc-cache", errors[0])
 
+    def test_served_batch_is_required(self):
+        # A served read batch's GET/SET run (collect, one ExecuteBatch,
+        # format) stays under the allocation ban.
+        self.assertEqual(ditto_lint.REQUIRED_HOT_PATHS["served-batch"],
+                         "src/net/connection.cc")
+
+    def test_clock_tick_is_required(self):
+        # LogicalClock::Tick/Now run once per Get/Set on every client.
+        self.assertEqual(ditto_lint.REQUIRED_HOT_PATHS["clock-tick"], "src/common/clock.h")
+
+    def test_served_batch_error_reply_must_be_a_literal_or_allowed(self):
+        # Shaped like Connection's run formatting: a literal error reply
+        # passes, one built as a std::string needs its allow(alloc) reason.
+        pin = {"served-batch": "src/c.cc"}
+        region = ("// ditto-lint: hot-path-begin(served-batch)\n"
+                  "{allow}"
+                  "  AppendError(&out_, {reply});\n"
+                  "// ditto-lint: hot-path-end(served-batch)\n")
+        built = "\"ERR unknown command '\" + std::string(verb) + \"'\""
+        self.tree.write("src/c.cc", region.format(
+            allow="", reply="\"ERR wrong number of arguments for 'get' command\""))
+        self.assertEqual(ditto_lint.check_hot_paths(self.root, pin), [])
+        self.tree.write("src/c.cc", region.format(allow="", reply=built))
+        errors = ditto_lint.check_hot_paths(self.root, pin)
+        self.assertEqual(len(errors), 1, errors)
+        self.assertIn("std::string construction in hot-path region served-batch", errors[0])
+        self.tree.write("src/c.cc", region.format(
+            allow="  // ditto-lint: allow(alloc): cold error reply\n", reply=built))
+        self.assertEqual(ditto_lint.check_hot_paths(self.root, pin), [])
+
 class ReinterpretCastTest(LintTestCase):
     def test_exact_pin_passes(self):
         rel = self.tree.write("src/a.cc",

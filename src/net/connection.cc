@@ -43,20 +43,19 @@ size_t OpsForCommand(std::string_view verb, size_t argc) {
   return 0;
 }
 
+constexpr std::string_view kShedReply = "LOADSHED server over in-flight op watermark, retry";
+constexpr std::string_view kNotInteger = "ERR value is not an integer or out of range";
+
 }  // namespace
 
 bool Connection::ProcessInput() {
   if (closing_) {
     return false;
   }
-  // Pass 1: parse every complete pipelined command out of the input ring,
-  // charging the global in-flight budget at parse time. The burst size of
-  // one read batch is the connection's instantaneous demand: commands past
-  // the watermark are marked shed here and never execute.
+  // Pass 1: parse every complete pipelined command out of the input ring.
   batch_.clear();
   batch_args_.clear();
-  batch_ops_acquired_ = 0;
-  uint64_t shed_ops = 0;
+  uint64_t batch_ops = 0;
   bool protocol_error = false;
   while (true) {
     const ParseStatus status = parser_.Parse(&in_, &cmd_);
@@ -71,34 +70,51 @@ bool Connection::ProcessInput() {
     pending.args_begin = batch_args_.size();
     batch_args_.insert(batch_args_.end(), cmd_.args.begin(), cmd_.args.end());
     pending.args_end = batch_args_.size();
-    const size_t ops = OpsForCommand(cmd_.args[0], cmd_.args.size());
-    if (ops > 0 && !host_->AcquireOps(ops)) {
-      pending.shed = true;
-      shed_ops += ops;
-    } else {
-      batch_ops_acquired_ += ops;
-    }
+    const std::string_view verb = cmd_.args[0];
+    pending.verb = VerbIs(verb, "GET")   ? Verb::kGet
+                   : VerbIs(verb, "SET") ? Verb::kSet
+                                         : Verb::kOther;
+    pending.ops = static_cast<uint32_t>(OpsForCommand(verb, cmd_.args.size()));
+    batch_ops += pending.ops;
     batch_.push_back(pending);
   }
 
-  // Pass 2: execute admitted commands in order, formatting replies in
-  // command order; shed commands answer -LOADSHED in their slot.
-  uint64_t executed_ops = 0;
-  for (const PendingCmd& pending : batch_) {
-    if (pending.shed) {
-      AppendError(&out_, "LOADSHED server over in-flight op watermark, retry");
+  uint64_t shed_ops = 0;
+  const uint64_t acquired = ReserveBatch(batch_ops, &shed_ops);
+
+  // Pass 2: execute in command order. A run of GET/SET commands is one
+  // ExecuteBatch; every other command executes on its own.
+  executed_ops_ = 0;
+  size_t i = 0;
+  while (i < batch_.size()) {
+    if (batch_[i].verb != Verb::kOther) {
+      size_t end = i;
+      while (end < batch_.size() && batch_[end].verb != Verb::kOther) {
+        ++end;
+      }
+      if (ops_.size() < end - i) {  // run scratch, sized outside the hot region
+        ops_.resize(end - i);
+        results_.resize(end - i);
+      }
+      ExecuteRun(i, end);
+      i = end;
       continue;
     }
-    const std::string_view* args = batch_args_.data() + pending.args_begin;
-    const size_t argc = pending.args_end - pending.args_begin;
-    executed_ops += OpsForCommand(args[0], argc);
-    if (!ExecuteCommand(args, argc)) {
+    const PendingCmd& pending = batch_[i++];
+    if (pending.shed) {
+      AppendError(&out_, kShedReply);
+      continue;
+    }
+    if (!ExecuteCommand(batch_args_.data() + pending.args_begin,
+                        pending.args_end - pending.args_begin)) {
       closing_ = true;
       break;
     }
   }
-  host_->ReleaseOps(batch_ops_acquired_);
-  host_->OnCommands(batch_.size(), executed_ops, shed_ops);
+  if (acquired > 0) {
+    host_->ReleaseOps(acquired);
+  }
+  host_->OnCommands(batch_.size(), executed_ops_, shed_ops);
 
   if (protocol_error) {
     AppendError(&out_, parser_.error());
@@ -106,6 +122,101 @@ bool Connection::ProcessInput() {
   }
   return !closing_;
 }
+
+uint64_t Connection::ReserveBatch(uint64_t batch_ops, uint64_t* shed_ops) {
+  if (batch_ops == 0 || host_->AcquireOps(batch_ops)) {
+    return batch_ops;
+  }
+  // The batch does not fit under the watermark: admit command by command,
+  // shedding each one that no longer fits.
+  uint64_t acquired = 0;
+  for (PendingCmd& pending : batch_) {
+    if (pending.ops == 0) {
+      continue;
+    }
+    if (host_->AcquireOps(pending.ops)) {
+      acquired += pending.ops;
+    } else {
+      pending.shed = true;
+      *shed_ops += pending.ops;
+    }
+  }
+  return acquired;
+}
+
+// ditto-lint: hot-path-begin(served-batch)
+void Connection::ExecuteRun(size_t begin, size_t end) {
+  // Collect: one kGet/kSet op per well-formed, admitted command.
+  size_t n = 0;
+  for (size_t j = begin; j < end; ++j) {
+    PendingCmd& pending = batch_[j];
+    if (pending.shed) {
+      continue;
+    }
+    const std::string_view* args = batch_args_.data() + pending.args_begin;
+    const size_t argc = pending.args_end - pending.args_begin;
+    if (pending.verb == Verb::kGet) {
+      if (argc != 2) {
+        pending.error = "ERR wrong number of arguments for 'get' command";
+        continue;
+      }
+      ops_[n++] = sim::CacheOp::Get(args[1], /*want_value=*/true);
+      continue;
+    }
+    uint64_t ttl_ticks = 0;
+    if (argc == 5 && (VerbIs(args[3], "EX") || VerbIs(args[3], "PX") || VerbIs(args[3], "TTL"))) {
+      if (!ParseU64(args[4], &ttl_ticks)) {
+        pending.error = kNotInteger;
+        continue;
+      }
+    } else if (argc != 3) {
+      pending.error = argc < 3 ? "ERR wrong number of arguments for 'set' command"
+                               : "ERR syntax error";
+      continue;
+    }
+    ops_[n++] = sim::CacheOp::Set(args[1], args[2], ttl_ticks);
+  }
+
+  // Execute: one call for the whole run, ops in command order. It writes
+  // every result; a hit's value is assigned into the reused string.
+  if (n > 0) {
+    host_->client()->ExecuteBatch({ops_.data(), n}, results_.data());
+    executed_ops_ += n;
+  }
+
+  // Format: one reply per command, in command order.
+  size_t k = 0;
+  for (size_t j = begin; j < end; ++j) {
+    const PendingCmd& pending = batch_[j];
+    if (pending.shed) {
+      AppendError(&out_, kShedReply);
+      continue;
+    }
+    if (!pending.error.empty()) {
+      AppendError(&out_, pending.error);
+      continue;
+    }
+    const sim::CacheResult& r = results_[k++];
+    if (r.status == sim::OpStatus::kUnavailable) {
+      AppendError(&out_, pending.verb == Verb::kGet
+                             ? "UNAVAILABLE 'get' aborted: backing node crashed or retries "
+                               "exhausted, retry"
+                             : "UNAVAILABLE 'set' aborted: backing node crashed or retries "
+                               "exhausted, retry");
+    } else if (pending.verb == Verb::kSet) {
+      if (r.status == sim::OpStatus::kStored) {
+        AppendSimple(&out_, "OK");
+      } else {
+        AppendError(&out_, "OOM store dropped (memory exhausted, nothing evictable)");
+      }
+    } else if (r.hit()) {
+      AppendBulk(&out_, r.value);
+    } else {
+      AppendNil(&out_);
+    }
+  }
+}
+// ditto-lint: hot-path-end(served-batch)
 
 bool Connection::ExecuteCommand(const std::string_view* args, size_t argc) {
   const std::string_view verb = args[0];
@@ -126,46 +237,6 @@ bool Connection::ExecuteCommand(const std::string_view* args, size_t argc) {
     info_.clear();
     host_->FormatInfo(&info_);
     AppendBulk(&out_, info_);
-    return true;
-  }
-
-  if (VerbIs(verb, "GET")) {
-    if (argc != 2) {
-      WrongArity("get");
-      return true;
-    }
-    ops_.assign(1, sim::CacheOp::Get(args[1], /*want_value=*/true));
-    ExecuteOps();
-    if (AnyUnavailable()) {
-      Unavailable("get");
-    } else if (results_[0].hit()) {
-      AppendBulk(&out_, results_[0].value);
-    } else {
-      AppendNil(&out_);
-    }
-    return true;
-  }
-
-  if (VerbIs(verb, "SET")) {
-    uint64_t ttl_ticks = 0;
-    if (argc == 5 && (VerbIs(args[3], "EX") || VerbIs(args[3], "PX") || VerbIs(args[3], "TTL"))) {
-      if (!ParseU64(args[4], &ttl_ticks)) {
-        AppendError(&out_, "ERR value is not an integer or out of range");
-        return true;
-      }
-    } else if (argc != 3) {
-      argc < 3 ? WrongArity("set") : AppendError(&out_, "ERR syntax error");
-      return true;
-    }
-    ops_.assign(1, sim::CacheOp::Set(args[1], args[2], ttl_ticks));
-    ExecuteOps();
-    if (AnyUnavailable()) {
-      Unavailable("set");
-    } else if (results_[0].status == sim::OpStatus::kStored) {
-      AppendSimple(&out_, "OK");
-    } else {
-      AppendError(&out_, "OOM store dropped (memory exhausted, nothing evictable)");
-    }
     return true;
   }
 
@@ -198,7 +269,7 @@ bool Connection::ExecuteCommand(const std::string_view* args, size_t argc) {
       return true;
     }
     if (!ParseU64(args[2], &ttl_ticks)) {
-      AppendError(&out_, "ERR value is not an integer or out of range");
+      AppendError(&out_, kNotInteger);
       return true;
     }
     ops_.assign(1, sim::CacheOp::Expire(args[1], ttl_ticks));
@@ -266,6 +337,7 @@ bool Connection::ExecuteCommand(const std::string_view* args, size_t argc) {
 void Connection::ExecuteOps() {
   results_.assign(ops_.size(), sim::CacheResult{});
   host_->client()->ExecuteBatch({ops_.data(), ops_.size()}, results_.data());
+  executed_ops_ += ops_.size();
 }
 
 void Connection::WrongArity(std::string_view verb) {

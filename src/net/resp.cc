@@ -1,11 +1,23 @@
 #include "net/resp.h"
 
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 
 namespace ditto::net {
 
 namespace {
+
+// Appends `type`, the decimal `v` and CRLF: the header line of an integer,
+// bulk or array reply. One per GET reply, so no printf.
+template <typename Int>
+void AppendHeader(RingBuffer* out, char type, Int v) {
+  char buf[32];  // type + up to 20 digits and a sign + CRLF
+  buf[0] = type;
+  char* end = std::to_chars(buf + 1, buf + sizeof(buf) - 2, v).ptr;
+  end[0] = '\r';
+  end[1] = '\n';
+  out->Append(std::string_view(buf, static_cast<size_t>(end + 2 - buf)));
+}
 
 // Locates the first CRLF strictly after `from` in `in`; returns the index
 // of the '\r'. A bare LF reports "not found" — headers are all short, so the
@@ -284,27 +296,17 @@ void AppendError(RingBuffer* out, std::string_view msg) {
   out->Append("\r\n");
 }
 
-void AppendInteger(RingBuffer* out, int64_t v) {
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof(buf), ":%lld\r\n", static_cast<long long>(v));
-  out->Append(std::string_view(buf, static_cast<size_t>(n)));
-}
+void AppendInteger(RingBuffer* out, int64_t v) { AppendHeader(out, ':', v); }
 
 void AppendBulk(RingBuffer* out, std::string_view s) {
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof(buf), "$%zu\r\n", s.size());
-  out->Append(std::string_view(buf, static_cast<size_t>(n)));
+  AppendHeader(out, '$', s.size());
   out->Append(s);
   out->Append("\r\n");
 }
 
 void AppendNil(RingBuffer* out) { out->Append("$-1\r\n"); }
 
-void AppendArrayHeader(RingBuffer* out, size_t n) {
-  char buf[32];
-  const int len = std::snprintf(buf, sizeof(buf), "*%zu\r\n", n);
-  out->Append(std::string_view(buf, static_cast<size_t>(len)));
-}
+void AppendArrayHeader(RingBuffer* out, size_t n) { AppendHeader(out, '*', n); }
 
 void AppendCommand(RingBuffer* out, std::initializer_list<std::string_view> args) {
   AppendArrayHeader(out, args.size());

@@ -74,12 +74,13 @@ uint16_t BoundPort(int fd) {
 }  // namespace
 
 // One event-loop thread: its own SO_REUSEPORT acceptor, epoll instance, and
-// CacheClient. Implements ConnectionHost for the connections it owns; every
-// shared-counter touch goes through the server's atomics.
+// CacheClient. Implements ConnectionHost for the connections it owns;
+// command accounting goes to its own counters line, connection admission and
+// the in-flight budget through the server's atomics.
 class Server::Reactor : public ConnectionHost {
  public:
   Reactor(Server* server, sim::CacheClient* client, int index)
-      : server_(server), client_(client), index_(index) {}
+      : server_(server), client_(client), counters_(&server->counters_[index]), index_(index) {}
 
   ~Reactor() override { CloseFds(); }
 
@@ -126,9 +127,9 @@ class Server::Reactor : public ConnectionHost {
   const RespLimits& limits() override { return server_->options_.limits; }
 
   void OnCommands(uint64_t commands, uint64_t ops, uint64_t shed_ops) override {
-    server_->commands_.fetch_add(commands, std::memory_order_relaxed);
-    server_->ops_.fetch_add(ops, std::memory_order_relaxed);
-    server_->shed_ops_.fetch_add(shed_ops, std::memory_order_relaxed);
+    account_slot::Bump(counters_->commands, commands);
+    account_slot::Bump(counters_->ops, ops);
+    account_slot::Bump(counters_->shed_ops, shed_ops);
   }
 
   void FormatInfo(std::string* out) override {
@@ -329,6 +330,7 @@ class Server::Reactor : public ConnectionHost {
 
   Server* server_;
   sim::CacheClient* client_;
+  ReactorCounters* counters_;
   int index_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
@@ -339,7 +341,9 @@ class Server::Reactor : public ConnectionHost {
 };
 
 Server::Server(std::vector<sim::CacheClient*> clients, const ServerOptions& options)
-    : clients_(std::move(clients)), options_(options) {}
+    : clients_(std::move(clients)),
+      options_(options),
+      counters_(std::make_unique<ReactorCounters[]>(clients_.size())) {}
 
 Server::~Server() { Stop(); }
 
@@ -414,9 +418,11 @@ ServerStats Server::stats() const {
   s.accepted = accepted_.load(std::memory_order_relaxed);
   s.rejected_conns = rejected_conns_.load(std::memory_order_relaxed);
   s.live_conns = live_conns_.load(std::memory_order_relaxed);
-  s.commands = commands_.load(std::memory_order_relaxed);
-  s.ops = ops_.load(std::memory_order_relaxed);
-  s.shed_ops = shed_ops_.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < clients_.size(); ++i) {
+    s.commands += counters_[i].commands.load(std::memory_order_relaxed);
+    s.ops += counters_[i].ops.load(std::memory_order_relaxed);
+    s.shed_ops += counters_[i].shed_ops.load(std::memory_order_relaxed);
+  }
   return s;
 }
 

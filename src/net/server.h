@@ -14,11 +14,20 @@
 // one reactor need DittoConfig::validate_inserts, same as any shared-pool
 // multi-client deployment).
 //
+// Per-command work touches only lines the reactor owns, as in Ditto's
+// client-centric design, where the memory pool is the clients' only shared
+// state: a read batch's GET/SET runs execute as one ExecuteBatch each (see
+// connection.h), the shared in-flight budget is charged once per read
+// batch, and the command/op/shed counters are per reactor (single writer,
+// one cache line each). The Server owns those counters, so stats() still
+// sums them after Stop() destroyed the reactors.
+//
 // Overload behaviour (all explicit, never a stall or a crash):
 //   * past `max_conns` live connections, an acceptor answers
 //     `-ERR max connections reached` and closes immediately;
-//   * past the global `shed_watermark` of in-flight cache ops, a parsed
-//     command is answered `-LOADSHED ...` instead of executing;
+//   * past the global `shed_watermark` of in-flight cache ops, a read batch
+//     that does not fit is admitted command by command, and each command
+//     past the watermark is answered `-LOADSHED ...` instead of executing;
 //   * past `max_pending_bytes` of unflushed replies, the reactor stops
 //     reading from that connection until the peer drains below half.
 #ifndef DITTO_NET_SERVER_H_
@@ -30,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/account_slot.h"
 #include "net/resp.h"
 #include "sim/client_iface.h"
 
@@ -44,8 +54,9 @@ struct ServerOptions {
   RespLimits limits;                    // parser caps (bulk size, arg count)
 };
 
-// Monotonic server-wide counters (atomically maintained, snapshot via
-// Server::stats()).
+// Monotonic server-wide counters, snapshot via Server::stats(): connection
+// counts are server-wide atomics, commands/ops/shed_ops the sum of the
+// per-reactor counters.
 struct ServerStats {
   uint64_t accepted = 0;        // connections admitted
   uint64_t rejected_conns = 0;  // accept-and-closed past max_conns
@@ -85,9 +96,9 @@ class Server {
  private:
   class Reactor;
 
-  // Global in-flight cache-op budget (the -LOADSHED watermark). Acquire is
-  // a single fetch_add race-checked against the watermark; no-ops when the
-  // watermark is 0 (unlimited).
+  // Global in-flight cache-op budget (the -LOADSHED watermark), charged once
+  // per read batch. Acquire is a single fetch_add race-checked against the
+  // watermark; no-ops when the watermark is 0 (unlimited).
   bool AcquireOps(size_t n);
   void ReleaseOps(size_t n);
 
@@ -97,14 +108,21 @@ class Server {
   bool started_ = false;
   std::vector<std::unique_ptr<Reactor>> reactors_;
 
+  // One reactor's command accounting: written only by its reactor thread
+  // (relaxed load+store), read by stats() from any thread.
+  struct alignas(kCacheLineBytes) ReactorCounters {
+    std::atomic<uint64_t> commands{0};
+    std::atomic<uint64_t> ops{0};
+    std::atomic<uint64_t> shed_ops{0};
+  };
+  // One per client (reactor); outlives the reactors.
+  std::unique_ptr<ReactorCounters[]> counters_;
+
   // Shared overload state: see Reactor::AcquireOps / connection admission.
   std::atomic<uint64_t> inflight_ops_{0};
   std::atomic<uint64_t> live_conns_{0};
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> rejected_conns_{0};
-  std::atomic<uint64_t> commands_{0};
-  std::atomic<uint64_t> ops_{0};
-  std::atomic<uint64_t> shed_ops_{0};
 };
 
 }  // namespace ditto::net

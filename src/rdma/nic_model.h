@@ -13,13 +13,13 @@
 // charge the same node at once. One shared atomic per counter would move a
 // cache line between cores on every verb, so each account keeps kShards
 // cache-line-sized shards and every host thread owns one: a thread takes a
-// process-wide slot on its first charge and returns it when it exits, so a
-// slot has at most one live owner. The owner adds its work and counters to
-// its shard with a relaxed load+store (it is the only writer); threads
-// beyond kShards share an overflow shard updated with atomic RMWs. Readers
-// sum every shard, so messages(), bytes(), doorbells(), ops() and
-// busy_horizon_ns() are exact once the charging threads are ordered before
-// the read (joined, or otherwise synchronized).
+// process-wide slot (common/account_slot.h) on its first charge and returns
+// it when it exits, so a slot has at most one live owner. The owner adds
+// its work and counters to its shard with a relaxed load+store (it is the
+// only writer); threads beyond kShards share an overflow shard updated with
+// atomic RMWs. Readers sum every shard, so messages(), bytes(), doorbells(),
+// ops() and busy_horizon_ns() are exact once the charging threads are
+// ordered before the read (joined, or otherwise synchronized).
 //
 // Staleness contract. A charge observes
 //   W_before = own shard's work + a cached sum of the other shards' work.
@@ -48,33 +48,10 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/account_slot.h"
 #include "rdma/cost_model.h"
 
 namespace ditto::rdma {
-
-inline constexpr size_t kCacheLineBytes = 64;
-
-namespace account_slot {
-
-// Number of host-thread slots; slot kShards is the shared overflow shard.
-inline constexpr int kShards = 16;
-
-// The calling thread's slot (-1 until its first charge) and its owner token
-// (unique per thread lifetime, never 0), so a shard can tell a new owner of
-// a recycled slot from the thread that last charged it.
-inline constinit thread_local int t_slot = -1;
-inline constinit thread_local uint64_t t_token = 0;
-
-// Takes a free slot for the calling thread (kShards if none is free) and
-// arranges for it to be returned when the thread exits.
-int Claim();
-
-inline int Current() {
-  const int slot = t_slot;
-  return slot >= 0 ? slot : Claim();
-}
-
-}  // namespace account_slot
 
 class QueueingServer {
  public:
@@ -152,17 +129,12 @@ class QueueingServer {
   };
   static_assert(sizeof(Shard) == kCacheLineBytes, "one shard per cache line");
 
-  // Single-writer increment: the owner is the only thread that stores.
-  static void Bump(std::atomic<uint64_t>& value, uint64_t delta) {
-    value.store(value.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
-  }
-
   static void AddCounts(Shard& shard, int slot, const Counts& counts) {
     for (int i = 0; i < kCounters; ++i) {
       if (slot == kShards) {
         shard.counts[i].fetch_add(counts[i], std::memory_order_relaxed);
       } else {
-        Bump(shard.counts[i], counts[i]);
+        account_slot::Bump(shard.counts[i], counts[i]);
       }
     }
   }

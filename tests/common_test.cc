@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
 #include <map>
+#include <semaphore>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -159,6 +163,131 @@ TEST(LogicalClockTest, StrictlyIncreasing) {
     EXPECT_GT(next, prev);
     prev = next;
   }
+}
+
+// Ticks `n` times on the calling thread, expecting exactly first, first+1,
+// ... with Now() equal to the last tick after each one.
+void ExpectExactTicks(LogicalClock& clock, uint64_t first, uint64_t n) {
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(clock.Tick(), first + i);
+    ASSERT_EQ(clock.Now(), first + i);
+  }
+}
+
+TEST(LogicalClockTest, SingleThreadIsTheSharedCounterSequence) {
+  LogicalClock clock;
+  EXPECT_EQ(clock.Now(), 0u);
+  ExpectExactTicks(clock, 1, 10 * LogicalClock::kLeaseTicks);
+}
+
+TEST(LogicalClockTest, InterleavedClocksOnOneThreadStayExact) {
+  LogicalClock a;
+  LogicalClock b;
+  for (uint64_t i = 1; i <= 3 * LogicalClock::kLeaseTicks; ++i) {
+    ASSERT_EQ(a.Tick(), i);
+    ASSERT_EQ(b.Tick(), 2 * i - 1);
+    ASSERT_EQ(b.Tick(), 2 * i);
+    ASSERT_EQ(a.Now(), i);
+    ASSERT_EQ(b.Now(), 2 * i);
+  }
+}
+
+TEST(LogicalClockTest, SequentialHandOffBetweenThreadsStaysExact) {
+  constexpr uint64_t kTicks = 3 * LogicalClock::kLeaseTicks;
+  LogicalClock clock;
+  ExpectExactTicks(clock, 1, kTicks);
+  std::thread([&] { ExpectExactTicks(clock, kTicks + 1, kTicks); }).join();
+  // Handed back: this thread sees the other thread's ticks once and still
+  // ticks exactly.
+  ExpectExactTicks(clock, 2 * kTicks + 1, kTicks);
+  std::thread([&] { ExpectExactTicks(clock, 3 * kTicks + 1, kTicks); }).join();
+}
+
+TEST(LogicalClockTest, ConcurrentTicksAreUniqueIncreasingAndBelowNow) {
+  constexpr int kThreads = 2;
+  constexpr size_t kTicks = 50000;
+  LogicalClock clock;
+  std::vector<std::vector<uint64_t>> ticks(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<uint64_t>& mine = ticks[static_cast<size_t>(t)];
+      mine.reserve(kTicks);
+      start.arrive_and_wait();
+      for (size_t i = 0; i < kTicks; ++i) {
+        const uint64_t tick = clock.Tick();
+        mine.push_back(tick);
+        if (clock.Now() < tick) {
+          ADD_FAILURE() << "Now() " << clock.Now() << " below tick " << tick;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::vector<uint64_t> all;
+  for (const std::vector<uint64_t>& mine : ticks) {
+    ASSERT_EQ(mine.size(), kTicks);
+    EXPECT_TRUE(std::adjacent_find(mine.begin(), mine.end(),
+                                   std::greater_equal<uint64_t>()) == mine.end())
+        << "ticks increase within each thread";
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_TRUE(std::adjacent_find(all.begin(), all.end()) == all.end()) << "ticks are unique";
+  EXPECT_GE(all.front(), 1u);
+  EXPECT_GE(clock.Now(), all.back());
+  // Leases may leave unused ticks, at most one lease per thread.
+  EXPECT_LE(clock.Now(), all.size() + kThreads * LogicalClock::kLeaseTicks);
+}
+
+// Ticks `rounds` times on this thread and on another one in strict
+// alternation, this thread first.
+void PingPong(LogicalClock& clock, int rounds, std::vector<uint64_t>* mine,
+              std::vector<uint64_t>* other) {
+  std::binary_semaphore my_turn(1);
+  std::binary_semaphore other_turn(0);
+  std::thread thread([&] {
+    for (int i = 0; i < rounds; ++i) {
+      other_turn.acquire();
+      other->push_back(clock.Tick());
+      my_turn.release();
+    }
+  });
+  for (int i = 0; i < rounds; ++i) {
+    my_turn.acquire();
+    mine->push_back(clock.Tick());
+    other_turn.release();
+  }
+  thread.join();
+}
+
+TEST(LogicalClockTest, InterleavedTicksSwitchToLeases) {
+  // Ticks stay exact until one thread has seen the other's ticks before
+  // two of its own in a row (this thread's third tick); every later tick of
+  // either thread comes from a lease.
+  LogicalClock clock;
+  std::vector<uint64_t> a;
+  std::vector<uint64_t> b;
+  PingPong(clock, 6, &a, &b);
+  constexpr uint64_t kLease = LogicalClock::kLeaseTicks;
+  EXPECT_EQ(a, (std::vector<uint64_t>{1, 3, 5, kLease + 6, kLease + 7, kLease + 8}));
+  EXPECT_EQ(b, (std::vector<uint64_t>{2, 4, 6, 7, 8, 9}));
+  EXPECT_EQ(clock.Now(), 2 * kLease + 5);
+}
+
+TEST(LogicalClockTest, ResetRestartsTheClock) {
+  LogicalClock clock;
+  std::vector<uint64_t> a;
+  std::vector<uint64_t> b;
+  PingPong(clock, 6, &a, &b);
+  clock.Reset();
+  EXPECT_EQ(clock.Now(), 0u);
+  ExpectExactTicks(clock, 1, 2 * LogicalClock::kLeaseTicks);
+  std::thread([&] { ExpectExactTicks(clock, 2 * LogicalClock::kLeaseTicks + 1, 10); }).join();
 }
 
 TEST(VirtualClockTest, AccumulatesAdvances) {

@@ -5,6 +5,7 @@
 // the load generator uses. Runs in the ASan/TSan CI matrix.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -173,6 +174,19 @@ TEST(RespParserTest, UnterminatedGarbageHeaderRejected) {
   RespParser parser;
   RespCommand cmd;
   EXPECT_EQ(parser.Parse(&rb, &cmd), ParseStatus::kError);
+}
+
+TEST(RespReplyTest, AppendFormatsHeaderLines) {
+  RingBuffer out;
+  AppendInteger(&out, 0);
+  AppendInteger(&out, -2);
+  AppendInteger(&out, INT64_MIN);
+  AppendBulk(&out, std::string(1000, 'v'));
+  AppendBulk(&out, "");
+  AppendArrayHeader(&out, 0);
+  AppendArrayHeader(&out, 12);
+  EXPECT_EQ(out.view(), ":0\r\n:-2\r\n:-9223372036854775808\r\n$1000\r\n" +
+                            std::string(1000, 'v') + "\r\n$0\r\n\r\n*0\r\n*12\r\n");
 }
 
 TEST(RespReplyTest, ParsesEveryReplyType) {

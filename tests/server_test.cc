@@ -18,7 +18,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +65,26 @@ struct Deployment {
   std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
   std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
   std::vector<sim::CacheClient*> raw;
+};
+
+// Forwards to a reactor's cache client and records the largest op count one
+// ExecuteBatch call carried.
+class RunSizeClient : public sim::CacheClient {
+ public:
+  explicit RunSizeClient(sim::CacheClient* inner) : inner_(inner) {}
+  void ExecuteBatch(std::span<const sim::CacheOp> ops, sim::CacheResult* results) override {
+    max_ops_ = std::max(max_ops_, ops.size());
+    inner_->ExecuteBatch(ops, results);
+  }
+  rdma::ClientContext& ctx() override { return inner_->ctx(); }
+  sim::ClientCounters counters() const override { return inner_->counters(); }
+  void ResetForMeasurement() override { inner_->ResetForMeasurement(); }
+  void Finish() override { inner_->Finish(); }
+  size_t max_ops() const { return max_ops_; }
+
+ private:
+  sim::CacheClient* inner_;
+  size_t max_ops_ = 0;
 };
 
 workload::Trace TestTrace(uint64_t requests) {
@@ -251,6 +273,101 @@ TEST(ServerFidelityTest, ServedReplayMatchesInProcessRunTrace) {
   EXPECT_EQ(counters.evictions, expected.evictions);
   EXPECT_EQ(counters.expired, expected.expired);
   EXPECT_EQ(served.pool.node().nic().messages() - nic_before, expected.nic_messages);
+}
+
+// At depth 32 one read batch carries up to 32 pipelined commands, and its
+// GET/SET runs execute as one ExecuteBatch each. Ops still execute in trace
+// order, so the served replay stays indistinguishable from the in-process
+// one. set_on_miss is off on both sides: a miss re-insert would follow its
+// GET only after the commands already in flight.
+TEST(ServerFidelityTest, PipelinedDepth32ReplayMatchesInProcessRunTrace) {
+  const workload::Trace trace = TestTrace(20000);
+  core::DittoConfig config;
+  config.experts = {"lru", "lfu"};
+  constexpr size_t kValueBytes = 64;
+  constexpr uint64_t kTtlTicks = 64;
+  constexpr int kDepth = 32;
+
+  Deployment in_process(TestPool(512), config, 1);
+  sim::RunOptions options;
+  options.value_bytes = kValueBytes;
+  options.expire_ttl_ticks = kTtlTicks;
+  options.set_on_miss = false;
+  options.pipeline_depth = kDepth;
+  const sim::RunResult expected =
+      sim::RunTrace(in_process.raw, trace, &in_process.pool.node(), options);
+
+  Deployment served(TestPool(512), config, 1);
+  served.raw[0]->ResetForMeasurement();
+  const uint64_t nic_before = served.pool.node().nic().messages();
+  RunSizeClient run_size(served.raw[0]);
+  net::Server server({&run_size}, net::ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  net::LoadgenOptions lg;
+  lg.port = server.port();
+  lg.connections = 1;
+  lg.depth = kDepth;
+  lg.value_bytes = kValueBytes;
+  lg.expire_ttl_ticks = kTtlTicks;
+  lg.set_on_miss = false;
+  const net::LoadgenResult r = net::RunLoadgen(trace, lg);
+  server.Stop();
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_EQ(r.shed, 0u);
+  EXPECT_EQ(r.ops, trace.size());
+
+  EXPECT_EQ(r.gets, expected.gets);
+  EXPECT_EQ(r.hits, expected.hits);
+  EXPECT_EQ(r.misses, expected.misses);
+  EXPECT_EQ(r.sets, expected.sets);
+  const sim::ClientCounters counters = served.raw[0]->counters();
+  EXPECT_EQ(counters.gets, expected.gets);
+  EXPECT_EQ(counters.hits, expected.hits);
+  EXPECT_EQ(counters.misses, expected.misses);
+  EXPECT_EQ(counters.sets, expected.sets);
+  EXPECT_EQ(counters.deletes, expected.deletes);
+  EXPECT_EQ(counters.evictions, expected.evictions);
+  EXPECT_EQ(counters.expired, expected.expired);
+  EXPECT_EQ(served.pool.node().nic().messages() - nic_before, expected.nic_messages);
+  EXPECT_GT(run_size.max_ops(), 1u) << "pipelined GET/SET runs share one ExecuteBatch";
+}
+
+// The per-reactor command counters are owned by the server and summed by
+// stats(): after Stop() destroyed the reactors, the executed-op count equals
+// what the reactors' cache clients executed.
+TEST(ServerFidelityTest, StatsAfterStopSumEveryReactor) {
+  workload::YcsbConfig ycsb;
+  ycsb.workload = 'A';
+  ycsb.num_keys = 2048;
+  const workload::Trace trace = workload::MakeYcsbTrace(ycsb, 20000, /*seed=*/7);
+  core::DittoConfig config;
+  config.validate_inserts = true;
+  Deployment d(TestPool(512), config, 2);
+  net::Server server(d.raw, net::ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  net::LoadgenOptions lg;
+  lg.port = server.port();
+  lg.connections = 4;
+  lg.depth = 8;
+  lg.value_bytes = 64;
+  const net::LoadgenResult r = net::RunLoadgen(trace, lg);
+  server.Stop();
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.errors, 0u);
+
+  uint64_t gets_and_sets = 0;
+  for (sim::CacheClient* client : d.raw) {
+    const sim::ClientCounters c = client->counters();
+    gets_and_sets += c.gets + c.sets;
+  }
+  const net::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.ops, gets_and_sets);
+  EXPECT_EQ(stats.ops, r.gets + r.sets);
+  EXPECT_EQ(stats.commands, r.gets + r.sets);
+  EXPECT_EQ(stats.shed_ops, 0u);
 }
 
 // More connections and reactors still serve every request exactly once
